@@ -7,7 +7,13 @@
 //   Bulk:     BulkHead ──▶ body ──▶ BulkTail ─(feedback buffer)─▶ BulkHead
 //                                └─▶ TermSink (T criterion)
 //   Workset:  WorksetHead ──▶ ∆ body ──▶ DeltaApply (S ∪̇ D)
-//                                   └──▶ WorksetTail ─(queues)─▶ WorksetHead
+//                                   └──▶ WorksetTail ─(feedback exchange)─▶
+//                                                               WorksetHead
+//
+// The workset feedback exchange is the runtime's own wiring, not a plan
+// input: one exchange per head partition, hash-partitioned on the workset
+// route key, delimited per superstep by the tails' end-of-superstep markers
+// (or credit-counted, in barrier-free and microstep loops).
 //
 // The executor instantiates every task once per partition and connects them
 // with channels according to each input's ShipStrategy.
@@ -29,8 +35,8 @@ enum class TaskRole {
   kBulkHead,      ///< emits S_i into the body each superstep
   kBulkTail,      ///< collects O into the next-S buffer; emits final result
   kTermSink,      ///< counts T-criterion records (bulk iterations)
-  kWorksetHead,   ///< emits W_i from the double-buffered queues
-  kWorksetTail,   ///< routes W_{i+1} records back into the head queues
+  kWorksetHead,   ///< emits W_0, then W_i from its feedback exchange
+  kWorksetTail,   ///< routes W_{i+1} into the heads' feedback exchanges
   kDeltaApply,    ///< merges D into the solution set via ∪̇; emits final S
   kSolutionJoin,  ///< body join/cogroup merged with the S index (§5.3)
 };

@@ -177,6 +177,21 @@ class SpscSegmentQueue {
     }
   }
 
+  /// Visits every currently published element in FIFO order without
+  /// popping it. Consumer side only (or a controller that synchronized with
+  /// a quiescent producer); `fn` must not touch the queue.
+  template <typename Fn>
+  void ForEachQueued(Fn&& fn) const {
+    const Segment* seg = head_seg_;
+    size_t i = head_;
+    while (seg != nullptr) {
+      const size_t end = seg->tail.load(std::memory_order_acquire);
+      for (; i < end; ++i) fn(seg->slots[i]);
+      seg = seg->next.load(std::memory_order_acquire);
+      i = 0;
+    }
+  }
+
   /// Consumer-side readability probe (no side effects).
   bool Readable() const {
     const Segment* seg = head_seg_;
@@ -474,6 +489,25 @@ class Exchange {
       }
     }
     return drained;
+  }
+
+  /// DrainTo's non-consuming twin: appends a copy of every queued data
+  /// record to `out` (markers are skipped) and returns how many records
+  /// were appended, leaving every envelope queued — a following ReadPhase
+  /// or DrainTo sees exactly the same records. Same legality contract as
+  /// Reset: controller only, under quiescence (a checkpoint of the pending
+  /// workset at a superstep boundary).
+  size_t CopyTo(std::vector<Record>* out) {
+    SyncWithProducers();
+    size_t copied = 0;
+    for (auto& lane : lanes_) {
+      lane->queue.ForEachQueued([&](const Envelope& envelope) {
+        if (envelope.kind != MarkerKind::kData) return;
+        copied += envelope.batch.size();
+        for (const Record& rec : envelope.batch) out->push_back(rec);
+      });
+    }
+    return copied;
   }
 
   /// Reopens a drained exchange for one more production phase and seeds it:

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <set>
@@ -16,7 +15,6 @@
 #include "common/stopwatch.h"
 #include "core/checkpoint.h"
 #include "core/solution_set.h"
-#include "core/termination.h"
 #include "dataflow/udf.h"
 #include "obs/trace.h"
 #include "runtime/engine.h"
@@ -102,70 +100,56 @@ struct BulkRuntime {
   bool record_stats = true;
 };
 
-struct MicroQueue {
-  std::mutex mutex;
-  std::deque<Record> queue;
-};
-
 struct WorksetRuntime {
   std::unique_ptr<SuperstepCoordinator> coordinator;
-  int parallelism = 0;
   KeySpec route_key;
   KeySpec solution_key;
   bool immediate_apply = false;
   bool microstep = false;
   int max_iterations = 0;
 
-  /// Superstep at which the current round started. The head consumes its
-  /// external W_0 port exactly at a round's first superstep (re-seeded by
-  /// the session controller for warm rounds), and the iteration cap counts
-  /// supersteps relative to this mark. Written only by the controller while
-  /// no wave task is scheduled (the engine submit path publishes it).
-  /// 64-bit: the absolute counter never resets across a session's rounds.
+  /// Superstep at which the current round started: the iteration cap and
+  /// the report numbering count supersteps relative to this mark. Written
+  /// only by the controller while no wave task is scheduled (the engine
+  /// submit path publishes it). 64-bit: the absolute counter never resets
+  /// across a session's rounds.
   int64_t round_start_superstep = 0;
-
-  /// Superstep mode: double-buffered workset queues (Section 5.3). `front`
-  /// is drained by head p during the superstep; tails append to `back`
-  /// under the per-partition mutex; the gate's completion step swaps them.
-  std::vector<std::vector<Record>> front;
-  std::vector<std::vector<Record>> back;
-  std::vector<std::unique_ptr<std::mutex>> back_mutex;
 
   /// One solution-set index partition per worker.
   std::vector<std::unique_ptr<SolutionSetIndex>> index;
 
-  /// Microstep mode: FIFO queues + quiescence detection.
-  std::vector<std::unique_ptr<MicroQueue>> queues;
-  std::unique_ptr<QuiescenceDetector> detector;
-  std::atomic<int64_t> micro_processed{0};
+  /// The workset feedback channel (§5.3): feedback[p] is read by head
+  /// instance p (microstep unit p), with one lane per producing tail
+  /// instance (unit). Superstep loops delimit each W_{i+1} phase with the
+  /// tails' end-of-superstep markers; barrier-free and microstep loops
+  /// publish without markers and hold a coordinator credit per record in
+  /// flight instead.
+  std::vector<std::unique_ptr<Exchange>> feedback;
 
-  /// Barrier-free mode (sync_mode != kSuperstep): the double-buffered
-  /// front/back queues are replaced by per-partition feedback exchanges —
-  /// async_feedback[p] is drained by head instance p, with one lane per
-  /// producing tail instance — so a tail's routed records become visible
-  /// (and creditable) the moment they are pushed, not at a phase flip.
+  /// Barrier-free local rounds (sync_mode != kSuperstep) instead of
+  /// superstep waves.
   bool barrier_free = false;
-  std::vector<std::unique_ptr<Exchange>> async_feedback;
-  struct AsyncPart {
+  struct Part {
     /// Records this partition popped from in-loop lanes during the local
-    /// round that is currently executing; their quiescence credits are
-    /// returned in one batch at the end of the round, after the round's
-    /// own children were published (exact-credit rule). Only touched by
-    /// the partition's own round task.
+    /// round that is currently executing (barrier-free only); their
+    /// credits are returned in one batch at the end of the round, after
+    /// the round's own children were published (exact-credit rule). Only
+    /// touched by the partition's own round task.
     int64_t popped_this_round = 0;
-    /// The head still owes a read of its external W_0 port (set by the
-    /// controller at round seed time, cleared by the head's first local
-    /// round of the service round).
+    /// The head still owes a read of its external W_0 port (set at setup
+    /// and by the controller when it seeds a round, cleared by the head's
+    /// first superstep or local round of the round).
     bool w0_pending = true;
   };
-  std::vector<std::unique_ptr<AsyncPart>> async_parts;
+  std::vector<std::unique_ptr<Part>> parts;
   /// Executed-local-rounds snapshot per partition at the current service
   /// round's start; the per-round iteration cap counts against it.
   /// Controller-written under round quiescence.
   std::vector<int64_t> async_round_base;
-  /// Wakes partition p's round task (installed by the scheduler once the
-  /// async node's park slots exist; only called from inside round tasks).
-  std::function<void(int)> async_wake;
+  /// Wakes partition p's parked round task or microstep unit (installed by
+  /// the scheduler once the node's park slots exist; only called from
+  /// inside the node's own tasks).
+  std::function<void(int)> wake;
 
   IterationReport report;
   Stopwatch watch;
@@ -186,6 +170,35 @@ struct WorksetRuntime {
     }
   }
 };
+
+/// The producer side of the workset feedback channel for partition
+/// `partition`: an ordinary in-loop port, hash-partitioned on the route key
+/// into every head's feedback exchange.
+std::unique_ptr<OutputPort> MakeFeedbackPort(WorksetRuntime& rt,
+                                             int partition, Metrics* metrics) {
+  std::vector<Exchange*> targets;
+  targets.reserve(rt.feedback.size());
+  for (const auto& exchange : rt.feedback) targets.push_back(exchange.get());
+  return std::make_unique<OutputPort>(std::move(targets),
+                                      ShipStrategy::kHashPartition,
+                                      rt.route_key, partition, metrics,
+                                      /*in_loop=*/true);
+}
+
+/// Brackets every data publish of `port` (owned by partition `self`) with
+/// the credit protocol: the envelope's records take their credits and the
+/// target's quiescence vote is revoked before it becomes visible; a parked
+/// target other than the publisher is woken once it is.
+void InstallCreditHooks(OutputPort* port, WorksetRuntime* rt, int self) {
+  port->set_async_hooks(
+      [rt](int target, int64_t records) {
+        rt->coordinator->CreditEnqueued(records);
+        rt->coordinator->RevokeQuiescentVote(target);
+      },
+      [rt, self](int target) {
+        if (target != self) rt->wake(target);
+      });
+}
 
 // ---------------------------------------------------------------------------
 // Execution context shared by all task instances
@@ -251,8 +264,9 @@ struct LoopProgram {
 /// The non-blocking contract (engine.h): every `body` and every RunOnce is
 /// only enqueued after the producers of the phase it reads have finished —
 /// one-shot producers after their stream completed, in-loop producers after
-/// their superstep body ran earlier in the same wave (stage order). Every
-/// ReadPhase therefore finds a fully delimited phase and never parks.
+/// their superstep body ran earlier in the same wave (stage order), the
+/// workset tails feeding a head in the previous wave. Every ReadPhase
+/// therefore finds a fully delimited phase and never parks.
 class TaskInstance {
  public:
   TaskInstance(ExecContext* ctx, const PhysicalTask* task, int partition)
@@ -284,18 +298,8 @@ class TaskInstance {
   /// set_async_hooks). Called once by the scheduler after the async node's
   /// park slots exist.
   void InstallAsyncHooks() {
-    WorksetRuntime* rt = &WsRt();
-    const int self = partition_;
     for (OutputPort* port : out_ptrs_) {
-      if (!port->in_loop()) continue;
-      port->set_async_hooks(
-          [rt](int target, int64_t records) {
-            rt->coordinator->CreditEnqueued(records);
-            rt->coordinator->RevokeQuiescentVote(target);
-          },
-          [rt, self](int target) {
-            if (target != self) rt->async_wake(target);
-          });
+      if (port->in_loop()) InstallCreditHooks(port, &WsRt(), partition_);
     }
   }
 
@@ -314,6 +318,10 @@ class TaskInstance {
       outputs_.push_back(std::make_unique<OutputPort>(
           std::move(targets), edge.ship, edge.ship_key, partition_,
           &ctx_->metrics, in_loop, edge.combiner, edge.combine_key));
+      out_ptrs_.push_back(outputs_.back().get());
+    }
+    if (task_->role == TaskRole::kWorksetTail) {
+      outputs_.push_back(MakeFeedbackPort(WsRt(), partition_, &ctx_->metrics));
       out_ptrs_.push_back(outputs_.back().get());
     }
   }
@@ -358,25 +366,34 @@ class TaskInstance {
     }
   }
 
-  /// Reads `port` for the current phase: loop ports until END_SUPERSTEP,
-  /// external ports until END_STREAM. Barrier-free loops instead drain
-  /// whatever the in-loop lanes currently hold (no blocking, no marker
-  /// accounting) and count the popped records against the partition's
-  /// quiescence credits at the end of its local round.
+  /// Reads `port` for the current phase: loop ports as ReadLoop does,
+  /// external ports until END_STREAM.
   template <typename Fn>
   void ReadPort(int port, Fn&& fn) {
-    if (PortInLoop(port) && AsyncMode()) {
-      WsRt().async_parts[partition_]->popped_this_round +=
-          Input(port)->DrainOpen([&](const RecordBatch& batch) {
-            for (const Record& rec : batch) fn(rec);
-          });
+    if (PortInLoop(port)) {
+      ReadLoop(Input(port), fn);
       return;
     }
-    MarkerKind until = PortInLoop(port) ? MarkerKind::kEndSuperstep
-                                        : MarkerKind::kEndStream;
-    Input(port)->ReadPhase(until, [&](const RecordBatch& batch) {
+    Input(port)->ReadPhase(MarkerKind::kEndStream,
+                           [&](const RecordBatch& batch) {
+                             for (const Record& rec : batch) fn(rec);
+                           });
+  }
+
+  /// Reads an in-loop exchange until END_SUPERSTEP. Barrier-free loops
+  /// instead drain whatever the lanes currently hold (no blocking, no
+  /// marker accounting) and count the popped records against the
+  /// partition's credits at the end of its local round.
+  template <typename Fn>
+  void ReadLoop(Exchange* exchange, Fn&& fn) {
+    auto each = [&](const RecordBatch& batch) {
       for (const Record& rec : batch) fn(rec);
-    });
+    };
+    if (AsyncMode()) {
+      WsRt().parts[partition_]->popped_this_round += exchange->DrainOpen(each);
+    } else {
+      exchange->ReadPhase(MarkerKind::kEndSuperstep, each);
+    }
   }
 
   /// Reads a port into a vector.
@@ -894,63 +911,31 @@ LoopProgram TaskInstance::MakeTermSink() {
 // --- workset iteration roles ------------------------------------------------
 
 LoopProgram TaskInstance::MakeWorksetHead() {
-  struct State {
-    PortsCollector collector;
-    explicit State(std::vector<OutputPort*> ports)
-        : collector(std::move(ports)) {}
-  };
-  auto st = std::make_shared<State>(out_ptrs_);
+  auto collector = std::make_shared<PortsCollector>(out_ptrs_);
   LoopProgram prog;
-  prog.body = [this, st](int64_t superstep) {
+  prog.body = [this, collector](int64_t superstep) {
     WorksetRuntime& rt = WsRt();
+    WorksetRuntime::Part& part = *rt.parts[partition_];
     int64_t count = 0;
-    if (rt.barrier_free) {
-      // Local round of a barrier-free iteration: consume the external W_0
-      // phase once per service round (blocking is safe — the seed stream
-      // is complete before any round task is scheduled), then whatever
-      // the tails' feedback lanes currently hold.
-      WorksetRuntime::AsyncPart& ap = *rt.async_parts[partition_];
-      if (ap.w0_pending) {
-        ReadPort(0, [&](const Record& rec) {
-          st->collector.Emit(rec);
-          ++count;
-        });
-        // The startup credit is NOT released here: the scheduler returns
-        // it at the end of this local round, after the round's children
-        // were published — otherwise `pending` could dip to zero while
-        // W_0-derived records are still buffered in output ports.
-        ap.w0_pending = false;
-      }
-      const int64_t fed =
-          rt.async_feedback[partition_]->DrainOpen([&](const RecordBatch& b) {
-            for (const Record& rec : b) st->collector.Emit(rec);
-          });
-      ap.popped_this_round += fed;
-      count += fed;
-      rt.coordinator->workset_consumed.fetch_add(count,
-                                                 std::memory_order_relaxed);
-      SendSuperstepMarkers();  // barrier-free: flush, no markers
-      return;
-    }
-    auto drain_front = [&] {
-      std::vector<Record> records = std::move(rt.front[partition_]);
-      rt.front[partition_].clear();
-      for (const Record& rec : records) st->collector.Emit(rec);
-      count += static_cast<int64_t>(records.size());
+    auto emit = [&](const Record& rec) {
+      collector->Emit(rec);
+      ++count;
     };
-    if (superstep == rt.round_start_superstep) {
-      // A round's first superstep consumes the external W_0 port: the
-      // original source in the cold round, a controller-seeded stream
-      // (Exchange::Seed) in warm rounds.
-      ReadPort(0, [&](const Record& rec) {
-        st->collector.Emit(rec);
-        ++count;
-      });
-      // Plus any workset a previous round left behind when it stopped
-      // at the iteration cap — that work continues in this round.
-      drain_front();
-    } else {
-      drain_front();
+    if (part.w0_pending) {
+      // A round's first superstep (local round) consumes the external W_0
+      // port: the original source in the cold round, a controller-seeded
+      // stream (Exchange::Seed) in warm rounds. Barrier-free, these
+      // records ride on the partition's startup credit, which the
+      // scheduler returns only at the end of this local round.
+      ReadPort(0, emit);
+      part.w0_pending = false;
+    }
+    // The tails' feedback. Every absolute superstep after the first has a
+    // delimited phase waiting — at a round's first superstep it holds the
+    // workset a cap-truncated round left behind, which so continues in
+    // this round. Barrier-free rounds drain whatever is queued.
+    if (superstep > 0 || AsyncMode()) {
+      ReadLoop(rt.feedback[partition_].get(), emit);
     }
     rt.coordinator->workset_consumed.fetch_add(count,
                                                std::memory_order_relaxed);
@@ -961,66 +946,19 @@ LoopProgram TaskInstance::MakeWorksetHead() {
 }
 
 LoopProgram TaskInstance::MakeWorksetTail() {
+  // The tail's only output is its feedback port (BuildOutputs), which
+  // routes W_{i+1} to the heads by the workset key and counts the records
+  // shipped — they are the "messages" of the incremental iteration.
+  auto collector = std::make_shared<PortsCollector>(out_ptrs_);
   LoopProgram prog;
-  prog.body = [this](int64_t) {
-    WorksetRuntime& rt = WsRt();
-    const int P = rt.parallelism;
-    if (rt.barrier_free) {
-      // Route W_{i+1} into the per-partition feedback exchanges. Credits
-      // are taken and the target's quiescence vote revoked BEFORE the
-      // push makes the batch visible; the wake follows the push (a lost
-      // wake is impossible — the engine's wake-pending handshake catches
-      // a wake racing the target's park).
-      std::vector<RecordBatch> out(static_cast<size_t>(P));
-      std::vector<bool> cut(static_cast<size_t>(P), false);
-      int64_t count = 0;
-      int64_t remote = 0;
-      ReadPort(0, [&](const Record& rec) {
-        const int target = PartitionOf(rec, rt.route_key, P);
-        if (!cut[target]) {
-          out[target] = rt.async_feedback[target]->AcquireBatch(partition_);
-          cut[target] = true;
-        }
-        out[target].Add(rec);
-        ++count;
-        if (target != partition_) ++remote;
-      });
-      for (int p = 0; p < P; ++p) {
-        if (!cut[p] || out[p].empty()) continue;
-        const int64_t records = static_cast<int64_t>(out[p].size());
-        rt.coordinator->CreditEnqueued(records);
-        rt.coordinator->RevokeQuiescentVote(p);
-        Envelope envelope;
-        envelope.kind = MarkerKind::kData;
-        envelope.batch = std::move(out[p]);
-        rt.async_feedback[p]->Push(partition_, std::move(envelope));
-        if (p != partition_) rt.async_wake(p);
-      }
-      ctx_->metrics.CountShipped(count, count * sizeof(Record), remote);
-      rt.coordinator->workset_produced.fetch_add(count,
-                                                 std::memory_order_relaxed);
-      return;
-    }
-    // Route W_{i+1} records into the back buffers by the workset key.
-    std::vector<std::vector<Record>> local(P);
+  prog.body = [this, collector](int64_t) {
     int64_t count = 0;
-    int64_t remote = 0;
     ReadPort(0, [&](const Record& rec) {
-      int target = PartitionOf(rec, rt.route_key, P);
-      local[target].push_back(rec);
+      collector->Emit(rec);
       ++count;
-      if (target != partition_) ++remote;
     });
-    for (int p = 0; p < P; ++p) {
-      if (local[p].empty()) continue;
-      std::lock_guard<std::mutex> lock(*rt.back_mutex[p]);
-      auto& buffer = rt.back[p];
-      buffer.insert(buffer.end(), local[p].begin(), local[p].end());
-    }
-    // Feedback records are the "messages" of the incremental iteration.
-    ctx_->metrics.CountShipped(count, count * sizeof(Record), remote);
-    rt.coordinator->workset_produced.fetch_add(count,
-                                               std::memory_order_relaxed);
+    WsRt().coordinator->workset_produced.fetch_add(count,
+                                                   std::memory_order_relaxed);
     SendSuperstepMarkers();
   };
   prog.final_flush = [this] { SendEndStream(); };
@@ -1245,19 +1183,20 @@ struct ChainStep {
 
 /// Cooperative microstep unit (runtime v3): instead of a dedicated thread
 /// parked on a condition variable, each partition is a schedulable task.
-/// Step() drains whatever is queued for its partition, runs the fused
-/// chain, and returns kWorked — the scheduler re-enqueues it. When its
-/// queue is empty but records are still in flight elsewhere it returns
-/// kIdle and the scheduler PARKS it on an engine park slot: the unit costs
-/// no worker time until a peer stages records for its partition
-/// (FlushStaged wakes the target's slot) or proves global quiescence (the
-/// kDone path broadcasts a wake so every parked peer re-checks the
-/// detector and finishes). Once the detector is quiescent the unit emits
-/// its partition's converged solution and returns kDone. Liveness needs
-/// only one pool worker: a unit either has queued work (it is scheduled)
-/// or an obligated waker (whoever holds its future input, or whoever
-/// reaches quiescence) — the lost-wakeup race is closed inside
-/// Engine::Park/Wake via the wake-pending handshake.
+/// Step() drains whatever its partition's feedback exchange holds, runs
+/// the fused chain, and returns kWorked — the scheduler re-enqueues it.
+/// When its lanes are empty but records are still in flight elsewhere it
+/// returns kIdle and the scheduler PARKS it on an engine park slot: the
+/// unit costs no worker time until a peer publishes records for its
+/// partition (the feedback port's credit hooks wake the target's slot) or
+/// proves global quiescence (the kDone path broadcasts a wake so every
+/// parked peer re-checks the credits and finishes). Once the coordinator's
+/// credit counter is quiescent the unit emits its partition's converged
+/// solution and returns kDone. Liveness needs only one pool worker: a unit
+/// either has queued work (it is scheduled) or an obligated waker (whoever
+/// holds its future input, or whoever reaches quiescence) — the
+/// lost-wakeup race is closed inside Engine::Park/Wake via the
+/// wake-pending handshake.
 enum class MicroStatus { kWorked, kIdle, kDone };
 
 class MicrostepInstance {
@@ -1269,43 +1208,40 @@ class MicrostepInstance {
         rt_(*ctx->workset[iteration]),
         partition_(partition),
         chain_tasks_(std::move(chain_tasks)),
-        delta_apply_task_(delta_apply_task) {}
+        delta_apply_task_(delta_apply_task),
+        route_(MakeFeedbackPort(rt_, partition, &ctx->metrics)) {
+    InstallCreditHooks(route_.get(), &rt_, partition_);
+  }
 
   MicroStatus Step() {
+    SuperstepCoordinator* co = rt_.coordinator.get();
     if (!setup_done_) {
-      staged_.resize(rt_.parallelism);
       BuildChain();
       LoadInitialState();
-      rt_.detector->FinishStartup();
+      co->ReleaseStartupCredit();
       setup_done_ = true;
     }
-    std::vector<Record> batch;
-    if (TryPopBatch(&batch)) {
-      for (const Record& rec : batch) {
-        RunChain(0, rec);
-      }
-      FlushStaged();
-      // Release the batch's credits only after its children are visible.
-      for (size_t i = 0; i < batch.size(); ++i) {
-        rt_.detector->RecordProcessed();
-      }
-      processed_ += static_cast<int64_t>(batch.size());
+    const int64_t popped = rt_.feedback[partition_]->DrainOpen(
+        [&](const RecordBatch& batch) {
+          for (const Record& rec : batch) RunChain(0, rec);
+        });
+    if (popped > 0) {
+      // Return the popped records' credits only after their children are
+      // visible (and credited).
+      route_->Flush();
+      co->CreditProcessed(popped);
       return MicroStatus::kWorked;
     }
-    if (rt_.detector->Quiescent()) {
-      rt_.micro_processed.fetch_add(processed_, std::memory_order_relaxed);
+    if (co->Quiescent()) {
       EmitResult();
       return MicroStatus::kDone;
     }
-    // Empty queue but records are still in flight on other partitions: ask
+    // Empty lanes but records are still in flight on other partitions: ask
     // the scheduler to park this unit until a peer wakes it.
     return MicroStatus::kIdle;
   }
 
   int partition() const { return partition_; }
-
-  /// Installed by the scheduler: wakes the park slot of `target`'s unit.
-  void set_waker(std::function<void(int)> waker) { waker_ = std::move(waker); }
 
  private:
   Exchange* InputOf(const PhysicalTask* task, int port) {
@@ -1380,61 +1316,22 @@ class MicrostepInstance {
       }
     }
     SFDF_CHECK(head != nullptr);
-    MicroQueue& queue = *rt_.queues[partition_];
+    // W_0 enters this unit's own lane of its feedback exchange, credited
+    // like any fed-back record (this unit is that lane's only producer).
+    Exchange* own = rt_.feedback[partition_].get();
     InputOf(head, 0)->ReadPhase(
         MarkerKind::kEndStream, [&](const RecordBatch& batch) {
-          for (size_t i = 0; i < batch.size(); ++i) {
-            rt_.detector->RecordEnqueued();
-          }
-          std::lock_guard<std::mutex> lock(queue.mutex);
-          queue.queue.insert(queue.queue.end(), batch.begin(), batch.end());
+          if (batch.empty()) return;
+          RecordBatch copy = own->AcquireBatch(partition_);
+          for (const Record& rec : batch) copy.Add(rec);
+          rt_.coordinator->CreditEnqueued(static_cast<int64_t>(batch.size()));
+          own->Push(partition_, Envelope{MarkerKind::kData, std::move(copy)});
         });
-  }
-
-  /// Drains every currently-queued record for this partition, without
-  /// blocking. False = nothing queued right now (which does NOT mean the
-  /// computation is quiescent — Step checks the detector separately).
-  bool TryPopBatch(std::vector<Record>* out) {
-    MicroQueue& queue = *rt_.queues[partition_];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    if (queue.queue.empty()) return false;
-    out->assign(queue.queue.begin(), queue.queue.end());
-    queue.queue.clear();
-    return true;
-  }
-
-  /// Stages an end-of-chain record (a W_{i+1} element) for its partition.
-  /// The pending-record credit is taken immediately so quiescence cannot
-  /// trigger while records sit in the staging buffers; the buffers are
-  /// flushed once per processed batch (FlushStaged).
-  void Route(const Record& rec) {
-    int target = PartitionOf(rec, rt_.route_key, rt_.parallelism);
-    ctx_->metrics.CountShipped(1, sizeof(Record),
-                               target == partition_ ? 0 : 1);
-    rt_.detector->RecordEnqueued();
-    staged_[target].push_back(rec);
-  }
-
-  void FlushStaged() {
-    for (int target = 0; target < rt_.parallelism; ++target) {
-      if (staged_[target].empty()) continue;
-      MicroQueue& queue = *rt_.queues[target];
-      {
-        std::lock_guard<std::mutex> lock(queue.mutex);
-        queue.queue.insert(queue.queue.end(), staged_[target].begin(),
-                           staged_[target].end());
-      }
-      staged_[target].clear();
-      // The target may be parked on an empty queue; hand it its wake-up.
-      // (Never needed for self: a unit only parks when its own queue is
-      // empty, which it just made false for `target`.)
-      if (target != partition_ && waker_) waker_(target);
-    }
   }
 
   void RunChain(size_t step_index, const Record& rec) {
     if (step_index == chain_.size()) {
-      Route(rec);
+      route_->Send(rec);  // a W_{i+1} element
       return;
     }
     ChainStep& step = chain_[step_index];
@@ -1524,11 +1421,10 @@ class MicrostepInstance {
   std::vector<const PhysicalTask*> chain_tasks_;
   const PhysicalTask* delta_apply_task_;
   std::vector<ChainStep> chain_;
-  /// Per-target staging buffers for outgoing workset records.
-  std::vector<std::vector<Record>> staged_;
-  std::function<void(int)> waker_;
+  /// Routes end-of-chain records into the feedback exchanges; batches are
+  /// flushed once per Step (and whenever one fills up).
+  std::unique_ptr<OutputPort> route_;
   bool setup_done_ = false;
-  int64_t processed_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -1787,17 +1683,11 @@ std::function<bool(int64_t)> MakeWorksetDecide(ExecContext* ctx,
                                                WorksetRuntime* rt) {
   return [ctx, rt](int64_t finished) {
     SuperstepCoordinator* coordinator = rt->coordinator.get();
-    // Swap the double-buffered queues: records added during this superstep
-    // become the next superstep's workset (§5.3).
-    int64_t produced = 0;
-    for (int p = 0; p < rt->parallelism; ++p) {
-      std::lock_guard<std::mutex> lock(*rt->back_mutex[p]);
-      produced += static_cast<int64_t>(rt->back[p].size());
-      rt->front[p] = std::move(rt->back[p]);
-      rt->back[p].clear();
-    }
-    coordinator->workset_produced.exchange(0);
-    int64_t consumed = coordinator->workset_consumed.exchange(0);
+    // The records the tails fed back during this superstep — delimited in
+    // the feedback lanes by their end-of-superstep markers — are the next
+    // superstep's workset (§5.3).
+    const int64_t produced = coordinator->workset_produced.exchange(0);
+    const int64_t consumed = coordinator->workset_consumed.exchange(0);
     // Session rounds restart the superstep numbering of reports and the
     // iteration cap at the round's first superstep (one-shot runs have
     // round_start_superstep == 0, reducing to the plain numbering). The
@@ -1841,9 +1731,8 @@ std::function<bool(int64_t)> MakeWorksetDecide(ExecContext* ctx,
           checkpoint.solution.push_back(rec);
         });
       }
-      for (const auto& front : rt->front) {
-        checkpoint.workset.insert(checkpoint.workset.end(), front.begin(),
-                                  front.end());
+      for (const auto& feedback : rt->feedback) {
+        feedback->CopyTo(&checkpoint.workset);
       }
       Status st = SaveCheckpoint(ctx->checkpoint_path, checkpoint);
       if (!st.ok()) {
@@ -2079,7 +1968,6 @@ Status SetupContext(const PhysicalPlan& plan, const ExecutionOptions& options,
   for (size_t i = 0; i < plan.workset_iterations.size(); ++i) {
     const PhysicalWorksetIteration& spec = plan.workset_iterations[i];
     auto rt = std::make_unique<WorksetRuntime>();
-    rt->parallelism = P;
     rt->route_key = spec.workset_route_key;
     rt->solution_key = spec.solution_key;
     rt->immediate_apply = spec.immediate_apply;
@@ -2087,44 +1975,56 @@ Status SetupContext(const PhysicalPlan& plan, const ExecutionOptions& options,
     rt->max_iterations = spec.max_iterations;
     rt->metrics = &ctx.metrics;
     rt->record_stats = ctx.record_stats;
-    rt->front.resize(P);
-    rt->back.resize(P);
     for (int p = 0; p < P; ++p) {
-      rt->back_mutex.push_back(std::make_unique<std::mutex>());
       rt->index.push_back(
           spec.use_btree_index
               ? MakeBTreeSolutionIndex(spec.solution_key, spec.comparator)
               : MakeHashSolutionIndex(spec.solution_key, spec.comparator));
+      rt->feedback.push_back(std::make_unique<Exchange>(P));
+      rt->parts.push_back(std::make_unique<WorksetRuntime::Part>());
     }
+    WorksetRuntime* raw = rt.get();
+    rt->coordinator = std::make_unique<SuperstepCoordinator>(
+        loop_tasks_ws[i] * P, MakeWorksetDecide(&ctx, raw));
     if (spec.microstep) {
-      rt->detector = std::make_unique<QuiescenceDetector>(P);
-      for (int p = 0; p < P; ++p) {
-        rt->queues.push_back(std::make_unique<MicroQueue>());
-      }
+      // Microsteps never meet at the gate: termination is quiescence of
+      // the coordinator's credit counter (no staleness bound).
       rt->report.ran_microsteps = true;
-    } else {
-      WorksetRuntime* raw = rt.get();
-      rt->coordinator = std::make_unique<SuperstepCoordinator>(
-          loop_tasks_ws[i] * P, MakeWorksetDecide(&ctx, raw));
-      if (ctx.sync_mode != SyncMode::kSuperstep) {
-        // Barrier-free: feedback flows through per-partition exchanges
-        // (one lane per tail instance), bookkept by the coordinator's
-        // quiescence/staleness side. ValidateSyncMode vouched for the
-        // plan (idempotent-safe ∪̇, no bulk, no microstep).
-        rt->barrier_free = true;
-        rt->report.ran_async = true;
-        rt->coordinator->EnableBarrierFree(P, ctx.staleness_bound);
-        rt->async_round_base.assign(static_cast<size_t>(P), 0);
-        for (int p = 0; p < P; ++p) {
-          rt->async_feedback.push_back(std::make_unique<Exchange>(P));
-          rt->async_parts.push_back(
-              std::make_unique<WorksetRuntime::AsyncPart>());
-        }
-      }
+      rt->coordinator->EnableBarrierFree(P, 0);
+    } else if (ctx.sync_mode != SyncMode::kSuperstep) {
+      // Barrier-free: local rounds bookkept by the coordinator's
+      // quiescence/staleness side. ValidateSyncMode vouched for the plan
+      // (idempotent-safe ∪̇, no bulk, no microstep).
+      rt->barrier_free = true;
+      rt->report.ran_async = true;
+      rt->coordinator->EnableBarrierFree(P, ctx.staleness_bound);
+      rt->async_round_base.assign(static_cast<size_t>(P), 0);
     }
     ctx.workset.push_back(std::move(rt));
   }
   return Status::OK();
+}
+
+/// Folds the health counters of every exchange of `ctx` — the plan's
+/// channels and the workset feedback lanes — into its metrics. Exact only
+/// once no producer or consumer of the context runs anymore (after the
+/// plan drained, or at a quiesced reconfiguration boundary), when the
+/// per-lane relaxed counters are final.
+void FoldExchangeStats(ExecContext* ctx) {
+  auto fold = [ctx](const Exchange& exchange) {
+    const Exchange::Stats s = exchange.stats();
+    ctx->metrics.RecordQueueDepth(s.depth_high_water);
+    ctx->metrics.CountBatchPool(s.pool_hits, s.pool_misses);
+    ctx->metrics.AddPeakResidentSegments(s.peak_resident_segments);
+  };
+  for (const auto& task_channels : ctx->channels) {
+    for (const auto& port_channels : task_channels) {
+      for (const auto& exchange : port_channels) fold(*exchange);
+    }
+  }
+  for (const auto& rt : ctx->workset) {
+    for (const auto& exchange : rt->feedback) fold(*exchange);
+  }
 }
 
 /// Post-drain epilogue: merges the sink slots deterministically and
@@ -2143,19 +2043,7 @@ ExecutionResult AssembleResult(const PhysicalPlan& plan, ExecContext* ctx_ptr,
     }
   }
 
-  // --- fold exchange-health counters into the metrics ---
-  // Safe here: every producer/consumer task has completed, so the per-lane
-  // relaxed counters are exact.
-  for (const auto& task_channels : ctx.channels) {
-    for (const auto& port_channels : task_channels) {
-      for (const auto& exchange : port_channels) {
-        const Exchange::Stats s = exchange->stats();
-        ctx.metrics.RecordQueueDepth(s.depth_high_water);
-        ctx.metrics.CountBatchPool(s.pool_hits, s.pool_misses);
-        ctx.metrics.AddPeakResidentSegments(s.peak_resident_segments);
-      }
-    }
-  }
+  FoldExchangeStats(&ctx);  // every task has completed
 
   // --- assemble result ---
   ExecutionResult result;
@@ -2174,13 +2062,19 @@ ExecutionResult AssembleResult(const PhysicalPlan& plan, ExecContext* ctx_ptr,
     result.bulk_reports.push_back(std::move(rt->report));
   }
   for (auto& rt : ctx.workset) {
+    const SuperstepCoordinator& co = *rt->coordinator;
     if (rt->microstep) {
       rt->report.iterations = 1;
       rt->report.converged = true;
+    }
+    // Microsteps and local rounds have no global superstep rows; synthesize
+    // one from the credit counter (a barrier-free report's iteration and
+    // convergence fields were filled by the round's last-finishing unit).
+    if (co.barrier_free() && rt->record_stats) {
       SuperstepStats stats;
       stats.superstep = 0;
       stats.millis = result.total_millis;
-      stats.workset_size = rt->micro_processed.load();
+      stats.workset_size = co.records_processed();
       int64_t lookups;
       int64_t applied;
       int64_t discarded;
@@ -2191,25 +2085,6 @@ ExecutionResult AssembleResult(const PhysicalPlan& plan, ExecContext* ctx_ptr,
       rt->report.supersteps.push_back(stats);
     }
     if (rt->barrier_free) {
-      // Local rounds have no global superstep rows; synthesize one like
-      // the microstep path (the report's iteration/convergence fields were
-      // filled by the round's last-finishing unit). Plus the barrier-free
-      // observability counters.
-      const SuperstepCoordinator& co = *rt->coordinator;
-      if (rt->record_stats) {
-        SuperstepStats stats;
-        stats.superstep = 0;
-        stats.millis = result.total_millis;
-        stats.workset_size = co.records_processed();
-        int64_t lookups;
-        int64_t applied;
-        int64_t discarded;
-        rt->SumIndexStats(&lookups, &applied, &discarded);
-        stats.solution_lookups = lookups;
-        stats.delta_applied = applied;
-        stats.delta_discarded = discarded;
-        rt->report.supersteps.push_back(stats);
-      }
       for (int p = 0; p < P; ++p) {
         result.async_local_rounds.push_back(co.rounds_executed(p));
       }
@@ -2233,9 +2108,9 @@ struct LoopUnit {
 };
 
 /// A schedulable region of the plan. The plan's exchange graph is a DAG —
-/// every feedback edge of an iteration goes through in-memory buffers
-/// swapped at the superstep gate, not through an exchange — so regions can
-/// run strictly producers-before-consumers:
+/// every feedback edge of an iteration stays inside its loop region (the
+/// bulk feedback buffers, the workset feedback exchanges), never between
+/// regions — so regions can run strictly producers-before-consumers:
 ///   kTask  — one non-loop physical task: P one-shot units, runnable once
 ///            every producer region completed (its input phases are then
 ///            fully delivered, so the existing streaming drivers run
@@ -2674,8 +2549,12 @@ class PlanSchedule {
     // Arrival gate (superstep.h): every participant arrives exactly once
     // per wave; the completion step (termination decide + phase flip) runs
     // inside the last arrival, which can only happen in the final stage.
+    // A final-stage arrival that does not close the wave must not touch
+    // the node afterwards: the closing arrival may already have run the
+    // iteration to completion and let the schedule be destroyed.
+    const bool final_stage = stage + 1 == node->stages.size();
     const bool wave_closed = node->coordinator->Arrive();
-    if (stage + 1 < node->stages.size()) {
+    if (!final_stage) {
       SFDF_DCHECK(!wave_closed);
       if (node->stage_remaining[stage]->fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
@@ -2753,12 +2632,9 @@ class PlanSchedule {
           ctx_, node->iteration, p, chain, delta_apply));
       node->micro_park_slots.push_back(engine_->CreateParkSlot(client_));
     }
-    for (auto& unit : node->micro_units) {
-      unit->set_waker(
-          [this, node](int target) {
-            engine_->Wake(node->micro_park_slots[target]);
-          });
-    }
+    ctx_->workset[node->iteration]->wake = [this, node](int target) {
+      engine_->Wake(node->micro_park_slots[static_cast<size_t>(target)]);
+    };
   }
 
   void SubmitMicroStep(SchedNode* node, MicrostepInstance* unit) {
@@ -2866,7 +2742,7 @@ class PlanSchedule {
     for (int p = 0; p < P; ++p) {
       node->micro_park_slots.push_back(engine_->CreateParkSlot(client_));
     }
-    rt.async_wake = [this, node](int target) {
+    rt.wake = [this, node](int target) {
       engine_->Wake(node->micro_park_slots[static_cast<size_t>(target)]);
     };
     for (auto& stage : node->stages) {
@@ -2893,7 +2769,7 @@ class PlanSchedule {
   void RunAsyncRound(SchedNode* node, int p) {
     WorksetRuntime& rt = *ctx_->workset[node->iteration];
     SuperstepCoordinator* co = rt.coordinator.get();
-    WorksetRuntime::AsyncPart& ap = *rt.async_parts[p];
+    WorksetRuntime::Part& ap = *rt.parts[p];
 
     // A peer ended the round. One exception: a partition that never read
     // its W_0 share (the cap fired before its first local round) must
@@ -2904,7 +2780,7 @@ class PlanSchedule {
       return;
     }
 
-    bool has_work = ap.w0_pending || rt.async_feedback[p]->HasQueued();
+    bool has_work = ap.w0_pending || rt.feedback[p]->HasQueued();
     if (!has_work) {
       for (LoopUnit* unit : node->async_pipeline[p]) {
         if (unit->instance->AnyLoopInputReadable()) {
@@ -3151,6 +3027,7 @@ struct SessionState {
   int64_t carried_queue_depth_high_water = 0;
   int64_t carried_pool_hits = 0;
   int64_t carried_pool_misses = 0;
+  int64_t carried_peak_resident_segments = 0;
   Engine::ClientStats carried_engine;
 
   WorksetRuntime& runtime() { return *ctx->workset[0]; }
@@ -3277,6 +3154,7 @@ Result<IterationReport> ExecutionSession::RunRound(
   // Fresh per-round report; the *_mark counters deliberately survive — they
   // are absolute marks against the cumulative session metrics.
   rt.report = IterationReport{};
+  for (auto& part : rt.parts) part->w0_pending = true;
   if (rt.barrier_free) {
     // Barrier-free re-arm: fresh termination/vote state and one startup
     // credit per partition (returned when it finishes its first local
@@ -3287,7 +3165,6 @@ Result<IterationReport> ExecutionSession::RunRound(
     rt.report.ran_async = true;
     rt.coordinator->RearmBarrierFree();
     for (int p = 0; p < P; ++p) {
-      rt.async_parts[p]->w0_pending = true;
       rt.async_round_base[p] = rt.coordinator->rounds_executed(p);
     }
   } else {
@@ -3298,8 +3175,8 @@ Result<IterationReport> ExecutionSession::RunRound(
 
   // Route the seed workset into the head's external W_0 port, partitioned
   // exactly like the runtime's own hash exchanges. If the previous round
-  // stopped at the iteration cap with work left in the queues, that work
-  // simply continues in this round alongside the new seeds. Seed batches
+  // stopped at the iteration cap with work left in the feedback lanes, that
+  // work simply continues in this round alongside the new seeds. Seed batches
   // are cut from each port's lane-0 pool (the controller acts as that
   // lane's producer between rounds; Reset below provides the acquire edge
   // first), so the buffers the head recycled after draining the previous
@@ -3360,6 +3237,7 @@ Result<ExecutionResult> ExecutionSession::Finish() {
                                            s.carried_queue_depth_high_water);
   result.batch_pool_hits += s.carried_pool_hits;
   result.batch_pool_misses += s.carried_pool_misses;
+  result.peak_resident_segments += s.carried_peak_resident_segments;
   result.engine_tasks = stats.tasks_run + s.carried_engine.tasks_run;
   result.engine_queue_wait_ns_total =
       stats.queue_wait_ns_total + s.carried_engine.queue_wait_ns_total;
@@ -3412,7 +3290,7 @@ Result<IterationReport> ExecutionSession::Reconfigure(int new_partitions,
     // A capped barrier-free round parks with records mid-pipeline: queued
     // batches in in-loop lanes carry intermediate schemas, not reseedable
     // workset records (unlike the superstep path, where the barrier
-    // guarantees leftovers live only in the front workset buffers). The
+    // guarantees leftovers live only in the feedback lanes). The
     // remap would need a drain-to-fixpoint protocol first; require the
     // caller to run the round to convergence instead.
     return Status::Unsupported(
@@ -3421,9 +3299,10 @@ Result<IterationReport> ExecutionSession::Reconfigure(int new_partitions,
         "convergence first (async leftovers salvage only at quiescence)");
   }
 
-  // Extract the warm state. The back buffers are empty after any round's
-  // final swap; the front buffers are non-empty only when the round stopped
-  // at the iteration cap — that leftover workset continues after the remap.
+  // Extract the warm state. The feedback lanes hold data only when the
+  // round stopped at the iteration cap — that leftover workset continues
+  // after the remap; otherwise they hold nothing but the last superstep's
+  // markers.
   static const uint16_t kRemap = trace::RegisterName("reconfigure.remap");
   const int64_t remap_start = trace::NowNs();
   std::vector<Record> solution;
@@ -3434,23 +3313,13 @@ Result<IterationReport> ExecutionSession::Reconfigure(int new_partitions,
     index->ForEach([&](const Record& rec) { solution.push_back(rec); });
   }
   std::vector<Record> leftover;
-  for (auto& front : rt.front) {
-    leftover.insert(leftover.end(), front.begin(), front.end());
-  }
+  for (auto& feedback : rt.feedback) feedback->DrainTo(&leftover);
 
   // Bank the dying skeleton's cumulative statistics: fold its exchange
   // stats into its metrics (the pass AssembleResult runs after a drain is
   // equally exact here — nothing of this skeleton runs anymore), then
   // carry the totals for Finish()/engine_stats().
-  for (const auto& task_channels : s.ctx->channels) {
-    for (const auto& port_channels : task_channels) {
-      for (const auto& exchange : port_channels) {
-        const Exchange::Stats st = exchange->stats();
-        s.ctx->metrics.RecordQueueDepth(st.depth_high_water);
-        s.ctx->metrics.CountBatchPool(st.pool_hits, st.pool_misses);
-      }
-    }
-  }
+  FoldExchangeStats(s.ctx.get());
   s.carried_shipped += s.ctx->metrics.records_shipped();
   s.carried_remote += s.ctx->metrics.records_remote();
   s.carried_bytes += s.ctx->metrics.bytes_shipped();
@@ -3460,6 +3329,7 @@ Result<IterationReport> ExecutionSession::Reconfigure(int new_partitions,
                s.ctx->metrics.queue_depth_high_water());
   s.carried_pool_hits += s.ctx->metrics.batch_pool_hits();
   s.carried_pool_misses += s.ctx->metrics.batch_pool_misses();
+  s.carried_peak_resident_segments += s.ctx->metrics.peak_resident_segments();
   const Engine::ClientStats old_client =
       s.engine->client_stats(s.schedule->client());
   s.carried_engine.tasks_run += old_client.tasks_run;

@@ -14,25 +14,31 @@
 // v3 (shared worker-pool engine): participants are schedulable tasks, not
 // parked threads, so nobody waits here. Arrive() decrements an atomic
 // countdown; the LAST-arriving task runs the completion step inline —
-// evaluate the termination criterion (empty workset, T-criterion silence,
-// or the iteration cap), swap the double-buffered workset queues, capture
-// per-superstep statistics — flips the phase, and its caller (the
-// executor's wave scheduler) re-enqueues the next superstep's task wave.
-// The completion runs while no participant task is live, exactly like the
-// old std::barrier completion step ran while every thread was parked; the
+// evaluate the termination criterion (an empty next workset — the records
+// the workset tails fed back this superstep, counted in workset_produced —
+// T-criterion silence, or the iteration cap), capture per-superstep
+// statistics — flips the phase, and its caller (the executor's wave
+// scheduler) re-enqueues the next superstep's task wave. The completion
+// runs while no participant task is live, exactly like the old
+// std::barrier completion step ran while every thread was parked; the
 // acq_rel countdown publishes every participant's superstep writes to it.
-// Barrier-free mode (ExecutionOptions::sync_mode != kSuperstep): the gate
-// stays idle and the coordinator instead tracks a distributed quiescence
-// protocol. Every record published into an in-loop exchange takes a credit
-// BEFORE it becomes visible; a partition returns the credits of everything
-// it consumed only at the END of its local round, after its own children
-// were published (and credited). pending == 0 therefore means "no record is
-// queued anywhere and no partition is mid-round" — exact quiescence, the
-// workset-is-empty criterion without a barrier. Layered on top, for
-// observability and the protocol's narrative: a partition with nothing to
-// do CASTS a quiescent vote before parking; any producer publishing toward
-// it REVOKES the vote first. Votes are advisory (credits are the proof);
-// revocation counts surface how often "done" partitions were reactivated.
+//
+// Barrier-free mode (ExecutionOptions::sync_mode != kSuperstep, and every
+// microstep iteration): the gate stays idle and the coordinator instead
+// tracks a distributed quiescence protocol — the message-acknowledgement
+// termination detection §5.3 points to, as one credit counter. Every
+// record published into an in-loop exchange (the workset feedback lanes
+// included) takes a credit BEFORE it becomes visible, one fetch_add per
+// published batch; a partition returns the credits of everything it
+// consumed only at the END of its local round or microstep batch, after
+// its own children were published (and credited). pending == 0 therefore
+// means "no record is queued anywhere and no partition is mid-round" —
+// exact quiescence, the workset-is-empty criterion without a barrier.
+// Layered on top, for observability and the protocol's narrative: a
+// partition with nothing to do CASTS a quiescent vote before parking; any
+// producer publishing toward it REVOKES the vote first. Votes are advisory
+// (credits are the proof); revocation counts surface how often "done"
+// partitions were reactivated.
 #pragma once
 
 #include <atomic>
@@ -122,10 +128,11 @@ class SuperstepCoordinator {
   // --- barrier-free mode (see file header) --------------------------------
 
   /// Switches this coordinator to barrier-free bookkeeping for `partitions`
-  /// loop pipelines. `staleness_bound` > 0 caps how many local rounds a
-  /// partition may run ahead of the slowest peer (kBoundedStale); 0 means
-  /// unbounded (kAsync). Seeds one startup credit per partition, released
-  /// when that partition consumed its initial-workset phase.
+  /// loop pipelines (or microstep units). `staleness_bound` > 0 caps how
+  /// many local rounds a partition may run ahead of the slowest peer
+  /// (kBoundedStale); 0 means unbounded (kAsync, microsteps). Seeds one
+  /// startup credit per partition, released when that partition consumed
+  /// its initial-workset phase.
   void EnableBarrierFree(int partitions, int staleness_bound) {
     SFDF_CHECK(bf_ == nullptr) << "barrier-free mode enabled twice";
     bf_ = std::make_unique<BarrierFree>(partitions, staleness_bound);

@@ -241,6 +241,40 @@ TEST(ExchangeTest, DrainToSalvagesQueuedRecords) {
   EXPECT_EQ(exchange.Reset(), 0u);
 }
 
+TEST(ExchangeTest, CopyToReadsQueuedDataWithoutConsuming) {
+  // The checkpoint's read of a pending workset phase: a quiescent-only copy
+  // that skips markers and leaves every envelope queued for the consumer.
+  Exchange exchange(2);
+  // A phase the consumer already drained, so the copy starts mid-segment.
+  exchange.Push(0, DataEnvelope({Record::OfInts(-1)}));
+  exchange.Push(0, Marker(MarkerKind::kEndSuperstep));
+  exchange.Push(1, Marker(MarkerKind::kEndSuperstep));
+  DrainInts(exchange, MarkerKind::kEndSuperstep);
+  // The pending phase; lane 0 now spans more than one ring segment.
+  std::vector<int64_t> expected;
+  for (int i = 0; i < 100; ++i) {
+    exchange.Push(0, DataEnvelope({Record::OfInts(i)}));
+    expected.push_back(i);
+  }
+  exchange.Push(1, DataEnvelope({Record::OfInts(100), Record::OfInts(101)}));
+  expected.push_back(100);
+  expected.push_back(101);
+  exchange.Push(0, Marker(MarkerKind::kEndSuperstep));
+  exchange.Push(1, Marker(MarkerKind::kEndSuperstep));
+
+  std::vector<Record> copy;
+  EXPECT_EQ(exchange.CopyTo(&copy), expected.size());
+  std::vector<int64_t> copied;
+  for (const Record& rec : copy) copied.push_back(rec.GetInt(0));
+  EXPECT_EQ(copied, expected);
+  // Nothing was consumed: the next phase read sees the same records, and
+  // then the lanes are empty.
+  ASSERT_EQ(exchange.lane_state(0), Exchange::LaneState::kReadable);
+  ASSERT_EQ(exchange.lane_state(1), Exchange::LaneState::kReadable);
+  EXPECT_EQ(DrainInts(exchange, MarkerKind::kEndSuperstep), expected);
+  EXPECT_EQ(exchange.Reset(), 0u);
+}
+
 TEST(ExchangeTest, StatsTrackQueueDepthHighWater) {
   Exchange exchange(2);
   for (int i = 0; i < 5; ++i) {

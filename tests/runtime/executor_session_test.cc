@@ -156,6 +156,33 @@ TEST(ExecutorSessionTest, CapTruncatedRoundCarriesWorkIntoTheNextRound) {
   ASSERT_TRUE((*session)->Finish().ok());
 }
 
+TEST(ExecutorSessionTest, ReconfigureAfterCapTruncatedRoundKeepsLeftover) {
+  // The cold round on the path 0–1–2–3 stops after one superstep with
+  // candidates still queued for the next one. Reconfigure must carry that
+  // leftover workset into the rebuilt skeleton — dropping it would leave
+  // vertices 2 and 3 with stale labels.
+  auto built = BuildCcPlan({{0, 1}, {1, 2}, {2, 3}}, /*max_iterations=*/1);
+  Executor executor(ExecutionOptions{.parallelism = 4});
+  auto session = executor.StartSession(built->physical);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_FALSE((*session)->initial_report().converged);
+
+  auto resumed = (*session)->Reconfigure(2);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ((*session)->parallelism(), 2);
+
+  bool converged = resumed->converged;
+  for (int round = 0; round < 10 && !converged; ++round) {
+    auto report = (*session)->RunRound({});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    converged = report->converged;
+  }
+  EXPECT_TRUE(converged) << "leftover workset was lost across Reconfigure";
+  EXPECT_EQ(SolutionLabels(**session),
+            (std::map<int64_t, int64_t>{{0, 0}, {1, 0}, {2, 0}, {3, 0}}));
+  ASSERT_TRUE((*session)->Finish().ok());
+}
+
 TEST(ExecutorSessionTest, DestructorFinishesImplicitly) {
   auto built = BuildTwoComponentPlan();
   Executor executor(ExecutionOptions{});
