@@ -1,6 +1,7 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -242,21 +243,94 @@ struct ExecContext {
   std::map<int, std::vector<Record>> source_override;
 
   const PhysicalTask& task(int id) const { return plan->tasks[id]; }
+
+  /// The records Source `task` emits: its override if any, else its data.
+  const std::vector<Record>& source_data(const PhysicalTask& task) const {
+    const auto it = source_override.find(task.id);
+    return it != source_override.end() ? it->second : *task.source_data;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Pieces shared by the task programs, pipelined units and microstep chains
+// ---------------------------------------------------------------------------
+
+/// Builds partition `partition`'s output ports of `task`: one per plan edge
+/// out of the task, routed by the edge's ship strategy (and combiner) into
+/// the consumer's P exchanges. A port is in-loop — it carries
+/// end-of-superstep markers — when both endpoints run in the same
+/// iteration's superstep loop.
+std::vector<std::unique_ptr<OutputPort>> MakePlanOutputs(
+    ExecContext* ctx, const PhysicalTask& task, int partition) {
+  std::vector<std::unique_ptr<OutputPort>> ports;
+  for (const auto& [consumer_id, port] : ctx->consumer_edges[task.id]) {
+    const PhysicalTask& consumer = ctx->task(consumer_id);
+    const PhysicalInput& edge = consumer.inputs[port];
+    std::vector<Exchange*> targets;
+    targets.reserve(ctx->parallelism);
+    for (int p = 0; p < ctx->parallelism; ++p) {
+      targets.push_back(ctx->channels[consumer_id][port][p].get());
+    }
+    const bool in_loop =
+        IsLoopTask(task) && IsLoopTask(consumer) && SameLoop(task, consumer);
+    ports.push_back(std::make_unique<OutputPort>(
+        std::move(targets), edge.ship, edge.ship_key, partition, &ctx->metrics,
+        in_loop, edge.combiner, edge.combine_key));
+  }
+  return ports;
+}
+
+std::vector<OutputPort*> RawPorts(
+    const std::vector<std::unique_ptr<OutputPort>>& ports) {
+  std::vector<OutputPort*> raw;
+  raw.reserve(ports.size());
+  for (const auto& port : ports) raw.push_back(port.get());
+  return raw;
+}
+
+/// Applies a record-at-a-time operator (Map / Filter / Union) to one record.
+void ApplyRecordOp(const PhysicalTask& task, const Record& rec,
+                   Collector* out) {
+  switch (task.kind) {
+    case OperatorKind::kMap:
+      task.map_udf(rec, out);
+      return;
+    case OperatorKind::kFilter:
+      if (task.filter_udf(rec)) out->Emit(rec);
+      return;
+    case OperatorKind::kUnion:
+      out->Emit(rec);
+      return;
+    default:
+      SFDF_CHECK(false) << "not a record-at-a-time operator: "
+                        << OperatorKindName(task.kind);
+  }
+}
+
+/// A §4.3 constant-path cache: a loop task's loop-invariant input, read on
+/// the loop's first superstep and replayed on every superstep. A budgeted
+/// cache gradually spills to disk; one with a requested sort order stays in
+/// memory (a spilled cache cannot be re-sorted).
+struct InputCache {
+  std::vector<Record> records;
+  std::unique_ptr<SpillBuffer> spill;
 };
 
 // ---------------------------------------------------------------------------
 // TaskInstance: one partition of one physical task
 // ---------------------------------------------------------------------------
 
-/// A loop task's resumable program (runtime v3). The executor schedules
-/// `body` once per superstep wave — it processes exactly one superstep,
-/// sends this instance's end-of-superstep markers and returns to the pool
+/// A task's program (runtime v3). A loop task's `body` runs once per
+/// superstep wave: it processes exactly one superstep, sends this
+/// instance's end-of-superstep markers and returns to the pool
 /// (run-to-superstep-boundary). All cross-superstep state — §4.3
 /// constant-path caches, hash tables, spill buffers — lives in the
 /// program's closure, which is what makes warm session rounds warm.
 /// `final_flush` runs once after the iteration terminated, emitting the
-/// task's final result downstream and closing its output lanes.
-struct LoopProgram {
+/// task's final result downstream and closing its output lanes. A task
+/// outside every loop runs the same program once: body(0), then
+/// final_flush().
+struct Program {
   std::function<void(int64_t)> body;
   std::function<void()> final_flush;
 };
@@ -270,15 +344,22 @@ struct LoopProgram {
 class TaskInstance {
  public:
   TaskInstance(ExecContext* ctx, const PhysicalTask* task, int partition)
-      : ctx_(ctx), task_(task), partition_(partition) {
-    BuildOutputs();
-  }
+      : ctx_(ctx),
+        task_(task),
+        partition_(partition),
+        outputs_(BuildOutputs()),
+        collector_(RawPorts(outputs_)) {}
 
   /// Non-loop tasks: the whole life of the instance, one engine task.
-  void RunOnce();
+  void RunOnce() {
+    SFDF_DCHECK(!IsLoopTask(*task_));
+    Program prog = MakeProgram();
+    prog.body(0);
+    prog.final_flush();
+  }
 
-  /// Loop tasks: the resumable per-superstep program.
-  LoopProgram MakeLoopProgram();
+  /// The operator's (or iteration role's) program.
+  Program MakeProgram();
 
   int partition() const { return partition_; }
 
@@ -298,32 +379,19 @@ class TaskInstance {
   /// set_async_hooks). Called once by the scheduler after the async node's
   /// park slots exist.
   void InstallAsyncHooks() {
-    for (OutputPort* port : out_ptrs_) {
-      if (port->in_loop()) InstallCreditHooks(port, &WsRt(), partition_);
+    for (const auto& port : outputs_) {
+      if (port->in_loop()) InstallCreditHooks(port.get(), &WsRt(), partition_);
     }
   }
 
  private:
   // --- wiring helpers -----------------------------------------------------
-  void BuildOutputs() {
-    for (const auto& [consumer_id, port] : ctx_->consumer_edges[task_->id]) {
-      const PhysicalTask& consumer = ctx_->task(consumer_id);
-      const PhysicalInput& edge = consumer.inputs[port];
-      std::vector<Exchange*> targets;
-      targets.reserve(ctx_->parallelism);
-      for (int p = 0; p < ctx_->parallelism; ++p) {
-        targets.push_back(ctx_->channels[consumer_id][port][p].get());
-      }
-      bool in_loop = IsLoopTask(consumer) && SameLoop(*task_, consumer);
-      outputs_.push_back(std::make_unique<OutputPort>(
-          std::move(targets), edge.ship, edge.ship_key, partition_,
-          &ctx_->metrics, in_loop, edge.combiner, edge.combine_key));
-      out_ptrs_.push_back(outputs_.back().get());
-    }
+  std::vector<std::unique_ptr<OutputPort>> BuildOutputs() {
+    auto ports = MakePlanOutputs(ctx_, *task_, partition_);
     if (task_->role == TaskRole::kWorksetTail) {
-      outputs_.push_back(MakeFeedbackPort(WsRt(), partition_, &ctx_->metrics));
-      out_ptrs_.push_back(outputs_.back().get());
+      ports.push_back(MakeFeedbackPort(WsRt(), partition_, &ctx_->metrics));
     }
+    return ports;
   }
 
   Exchange* Input(int port) {
@@ -348,7 +416,7 @@ class TaskInstance {
 
   void SendSuperstepMarkers() {
     const bool async = AsyncMode();
-    for (OutputPort* port : out_ptrs_) {
+    for (const auto& port : outputs_) {
       if (!port->in_loop()) continue;
       // Barrier-free: there is no phase to delimit — just make the
       // buffered records visible (the port's async hooks credit them).
@@ -361,7 +429,7 @@ class TaskInstance {
   }
 
   void SendEndStream() {
-    for (OutputPort* port : out_ptrs_) {
+    for (const auto& port : outputs_) {
       port->SendMarker(MarkerKind::kEndStream);
     }
   }
@@ -401,30 +469,57 @@ class TaskInstance {
     ReadPort(port, [out](const Record& rec) { out->push_back(rec); });
   }
 
-  // --- one-shot drivers (non-loop tasks) ----------------------------------
-  void RunSource();
-  void RunSink();
-  void RunSimple();  // Map / Filter / Union
-  void RunReduce();
-  void RunMatchHash();
-  void RunMatchSortMerge();
-  void RunCross();
-  void RunCoGroup();
+  /// Reads input `port` at `superstep`. A one-shot task's inputs and a loop
+  /// task's in-loop inputs stream; a loop task's constant input is kept in
+  /// `cache` at superstep 0 and replayed from it every superstep (§4.3).
+  template <typename Fn>
+  void ReadInput(int port, int64_t superstep, InputCache* cache, Fn&& fn) {
+    if (!IsLoopTask(*task_) || PortInLoop(port)) {
+      ReadPort(port, fn);
+      return;
+    }
+    if (superstep == 0) FillCache(port, cache);
+    if (cache->spill != nullptr) {
+      SFDF_CHECK(cache->spill->Replay(fn).ok());
+    } else {
+      for (const Record& rec : cache->records) fn(rec);
+    }
+  }
 
-  // --- loop program makers -------------------------------------------------
-  LoopProgram MakeSimpleLoop();  // Map / Filter / Union inside a loop
-  LoopProgram MakeReduceLoop();
-  LoopProgram MakeMatchHashLoop();
-  LoopProgram MakeMatchSortMergeLoop();
-  LoopProgram MakeCrossLoop();
-  LoopProgram MakeCoGroupLoop();
-  LoopProgram MakeBulkHead();
-  LoopProgram MakeBulkTail();
-  LoopProgram MakeTermSink();
-  LoopProgram MakeWorksetHead();
-  LoopProgram MakeWorksetTail();
-  LoopProgram MakeDeltaApply();
-  LoopProgram MakeSolutionJoin();
+  void FillCache(int port, InputCache* cache) {
+    // Establish the requested cache order (Figure 4: A cached partitioned
+    // and sorted by tid) so downstream consumers see pre-sorted data every
+    // superstep.
+    const KeySpec& sort_key = task_->inputs[port].cache_sort_key;
+    if (sort_key.empty() && ctx_->cache_spill_budget != INT64_MAX) {
+      SpillBufferOptions spill_options;
+      spill_options.memory_budget_bytes = ctx_->cache_spill_budget;
+      cache->spill = std::make_unique<SpillBuffer>(spill_options);
+      ReadPort(port, [&](const Record& rec) {
+        SFDF_CHECK(cache->spill->Add(rec).ok());
+      });
+      SFDF_CHECK(cache->spill->Seal().ok());
+      return;
+    }
+    CollectPort(port, &cache->records);
+    if (!sort_key.empty()) SortByKey(&cache->records, sort_key);
+  }
+
+  // --- program makers ------------------------------------------------------
+  Program MakeSource();
+  Program MakeSink();
+  Program MakeRecordOp();  // Map / Filter / Union
+  Program MakeReduce();
+  Program MakeMatchHash();
+  Program MakeMergeGroups();  // sort-merge Match, (Inner)CoGroup
+  Program MakeCross();
+  Program MakeBulkHead();
+  Program MakeBulkTail();
+  Program MakeTermSink();
+  Program MakeWorksetHead();
+  Program MakeWorksetTail();
+  Program MakeDeltaApply();
+  Program MakeSolutionJoin();
 
   WorksetRuntime& WsRt() { return *ctx_->workset[task_->workset_iteration]; }
   BulkRuntime& BulkRt() { return *ctx_->bulk[task_->bulk_iteration]; }
@@ -433,452 +528,198 @@ class TaskInstance {
   const PhysicalTask* task_;
   int partition_;
   std::vector<std::unique_ptr<OutputPort>> outputs_;
-  std::vector<OutputPort*> out_ptrs_;
+  PortsCollector collector_;
 };
 
-void TaskInstance::RunSource() {
-  PortsCollector collector(out_ptrs_);
-  const auto override_it = ctx_->source_override.find(task_->id);
-  const std::vector<Record>& data = override_it != ctx_->source_override.end()
-                                        ? override_it->second
-                                        : *task_->source_data;
-  for (size_t i = partition_; i < data.size();
-       i += static_cast<size_t>(ctx_->parallelism)) {
-    collector.Emit(data[i]);
-  }
-  SendEndStream();
-}
-
-void TaskInstance::RunSink() {
-  std::vector<Record>& slot = ctx_->sink_slots[task_->id][partition_];
-  CollectPort(0, &slot);
-}
-
-void TaskInstance::RunSimple() {
-  PortsCollector collector(out_ptrs_);
-  switch (task_->kind) {
-    case OperatorKind::kMap:
-      ReadPort(0, [&](const Record& rec) { task_->map_udf(rec, &collector); });
-      break;
-    case OperatorKind::kFilter:
-      ReadPort(0, [&](const Record& rec) {
-        if (task_->filter_udf(rec)) collector.Emit(rec);
-      });
-      break;
-    case OperatorKind::kUnion:
-      ReadPort(0, [&](const Record& rec) { collector.Emit(rec); });
-      ReadPort(1, [&](const Record& rec) { collector.Emit(rec); });
-      break;
-    default:
-      SFDF_CHECK(false) << "RunSimple on " << OperatorKindName(task_->kind);
-  }
-  SendEndStream();
-}
-
-LoopProgram TaskInstance::MakeSimpleLoop() {
-  struct State {
-    PortsCollector collector;
-    // Constant ports are read once and replayed every superstep (§4.3).
-    std::vector<std::vector<Record>> cache;
-    explicit State(std::vector<OutputPort*> ports)
-        : collector(std::move(ports)) {}
+Program TaskInstance::MakeSource() {
+  Program prog;
+  prog.body = [this](int64_t) {
+    const std::vector<Record>& data = ctx_->source_data(*task_);
+    for (size_t i = partition_; i < data.size();
+         i += static_cast<size_t>(ctx_->parallelism)) {
+      collector_.Emit(data[i]);
+    }
   };
-  auto st = std::make_shared<State>(out_ptrs_);
-  st->cache.resize(task_->inputs.size());
-  LoopProgram prog;
-  prog.body = [this, st](int64_t superstep) {
-    auto process_record = [&](const Record& rec) {
-      switch (task_->kind) {
-        case OperatorKind::kMap:
-          task_->map_udf(rec, &st->collector);
-          break;
-        case OperatorKind::kFilter:
-          if (task_->filter_udf(rec)) st->collector.Emit(rec);
-          break;
-        case OperatorKind::kUnion:
-          st->collector.Emit(rec);
-          break;
-        default:
-          SFDF_CHECK(false);
-      }
-    };
+  return prog;
+}
+
+Program TaskInstance::MakeSink() {
+  Program prog;
+  prog.body = [this](int64_t) {
+    CollectPort(0, &ctx_->sink_slots[task_->id][partition_]);
+  };
+  return prog;
+}
+
+Program TaskInstance::MakeRecordOp() {
+  auto caches = std::make_shared<std::vector<InputCache>>(task_->inputs.size());
+  Program prog;
+  prog.body = [this, caches](int64_t superstep) {
     for (size_t port = 0; port < task_->inputs.size(); ++port) {
-      if (PortInLoop(static_cast<int>(port))) {
-        ReadPort(static_cast<int>(port), process_record);
-      } else if (superstep == 0) {
-        CollectPort(static_cast<int>(port), &st->cache[port]);
-        for (const Record& rec : st->cache[port]) process_record(rec);
-      } else {
-        for (const Record& rec : st->cache[port]) process_record(rec);
-      }
+      ReadInput(static_cast<int>(port), superstep, &(*caches)[port],
+                [&](const Record& rec) {
+                  ApplyRecordOp(*task_, rec, &collector_);
+                });
     }
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-void TaskInstance::RunReduce() {
-  PortsCollector collector(out_ptrs_);
-  std::vector<Record> records;
-  CollectPort(0, &records);
-  // `input_presorted`: the optimizer proved the input arrives sorted on
-  // the grouping key (single forward producer emitting in key order).
-  if (!task_->input_presorted) SortByKey(&records, task_->key_left);
-  ForEachGroup(records, task_->key_left,
-               [&](const std::vector<Record>& group) {
-                 task_->reduce_udf(group, &collector);
-               });
-  SendEndStream();
-}
-
-LoopProgram TaskInstance::MakeReduceLoop() {
-  struct State {
-    PortsCollector collector;
-    std::vector<Record> cache;  // constant input (rare; recomputed per step)
-    explicit State(std::vector<OutputPort*> ports)
-        : collector(std::move(ports)) {}
-  };
-  auto st = std::make_shared<State>(out_ptrs_);
-  LoopProgram prog;
-  prog.body = [this, st](int64_t superstep) {
-    auto reduce_pass = [&](std::vector<Record>* records) {
-      if (!task_->input_presorted) SortByKey(records, task_->key_left);
-      ForEachGroup(*records, task_->key_left,
-                   [&](const std::vector<Record>& group) {
-                     task_->reduce_udf(group, &st->collector);
-                   });
-    };
-    if (PortInLoop(0)) {
-      std::vector<Record> records;
-      CollectPort(0, &records);
-      reduce_pass(&records);
-    } else {
-      if (superstep == 0) CollectPort(0, &st->cache);
-      std::vector<Record> copy = st->cache;
-      reduce_pass(&copy);
-    }
+Program TaskInstance::MakeReduce() {
+  auto cache = std::make_shared<InputCache>();
+  Program prog;
+  prog.body = [this, cache](int64_t superstep) {
+    std::vector<Record> records;
+    ReadInput(0, superstep, cache.get(),
+              [&](const Record& rec) { records.push_back(rec); });
+    // `input_presorted`: the optimizer proved the input arrives sorted on
+    // the grouping key (single forward producer emitting in key order).
+    if (!task_->input_presorted) SortByKey(&records, task_->key_left);
+    ForEachGroup(records, task_->key_left,
+                 [&](const std::vector<Record>& group) {
+                   task_->reduce_udf(group, &collector_);
+                 });
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-void TaskInstance::RunMatchHash() {
-  PortsCollector collector(out_ptrs_);
-  const bool build_left = task_->local == LocalStrategy::kHashBuildLeft;
-  const int build_port = build_left ? 0 : 1;
-  const int probe_port = 1 - build_port;
-  const KeySpec& build_key = build_left ? task_->key_left : task_->key_right;
-  const KeySpec& probe_key = build_left ? task_->key_right : task_->key_left;
-  JoinHashTable table(build_key);
-  ReadPort(build_port, [&](const Record& rec) { table.Insert(rec); });
-  ReadPort(probe_port, [&](const Record& probe) {
-    table.Probe(probe, probe_key, [&](const Record& build) {
-      if (build_left) {
-        task_->match_udf(build, probe, &collector);
-      } else {
-        task_->match_udf(probe, build, &collector);
-      }
-    });
-  });
-  SendEndStream();
-}
-
-LoopProgram TaskInstance::MakeMatchHashLoop() {
+Program TaskInstance::MakeMatchHash() {
   const bool build_left = task_->local == LocalStrategy::kHashBuildLeft;
   const int build_port = build_left ? 0 : 1;
   const int probe_port = 1 - build_port;
   const KeySpec& build_key = build_left ? task_->key_left : task_->key_right;
   const KeySpec probe_key = build_left ? task_->key_right : task_->key_left;
-  const bool build_in_loop = PortInLoop(build_port);
-  const bool probe_in_loop = PortInLoop(probe_port);
-  const bool build_cached = task_->inputs[build_port].cached;
+  // A cached constant build side keeps its hash table across supersteps —
+  // the table *is* the loop-invariant cache (§4.3). Every other build side
+  // is rebuilt per superstep: an in-loop one from the stream, an uncached
+  // constant one (caching ablation) from its raw-record cache.
+  const bool rebuild =
+      PortInLoop(build_port) || !task_->inputs[build_port].cached;
 
   struct State {
-    PortsCollector collector;
     JoinHashTable table;
-    std::vector<Record> build_cache;  // raw records, no-cache ablation
-    std::vector<Record> probe_cache;
-    // Budgeted probe caches gradually spill to disk (§4.3). Spilled caches
-    // cannot be re-sorted in memory, so the sorted-cache optimization only
-    // combines with the unbounded cache.
-    std::unique_ptr<SpillBuffer> spill_cache;
-    State(std::vector<OutputPort*> ports, const KeySpec& key)
-        : collector(std::move(ports)), table(key) {}
+    InputCache build_cache;
+    InputCache probe_cache;
+    explicit State(const KeySpec& key) : table(key) {}
   };
-  auto st = std::make_shared<State>(out_ptrs_, build_key);
-  if (!probe_in_loop && ctx_->cache_spill_budget != INT64_MAX &&
-      task_->inputs[probe_port].cache_sort_key.empty()) {
-    SpillBufferOptions spill_options;
-    spill_options.memory_budget_bytes = ctx_->cache_spill_budget;
-    st->spill_cache = std::make_unique<SpillBuffer>(spill_options);
-  }
+  auto st = std::make_shared<State>(build_key);
 
-  LoopProgram prog;
+  Program prog;
   prog.body = [this, st, build_left, build_port, probe_port, probe_key,
-               build_in_loop, probe_in_loop, build_cached](int64_t superstep) {
-    auto probe_one = [&](const Record& probe) {
-      st->table.Probe(probe, probe_key, [&](const Record& build) {
-        if (build_left) {
-          task_->match_udf(build, probe, &st->collector);
-        } else {
-          task_->match_udf(probe, build, &st->collector);
-        }
-      });
-    };
-    if (build_in_loop) {
+               rebuild](int64_t superstep) {
+    auto insert = [&](const Record& rec) { st->table.Insert(rec); };
+    if (rebuild) {
       st->table.Clear();
-      ReadPort(build_port, [&](const Record& rec) { st->table.Insert(rec); });
+      ReadInput(build_port, superstep, &st->build_cache, insert);
     } else if (superstep == 0) {
-      // Constant build side: the hash table *is* the loop-invariant
-      // cache (§4.3), built once and reused every superstep. With
-      // caching disabled (ablation) only the raw records are kept and
-      // the table is rebuilt each superstep.
-      ReadPort(build_port, [&](const Record& rec) {
-        if (build_cached) {
-          st->table.Insert(rec);
-        } else {
-          st->build_cache.push_back(rec);
-        }
-      });
-      if (!build_cached) {
-        for (const Record& rec : st->build_cache) st->table.Insert(rec);
-      }
-    } else if (!build_cached) {
-      st->table.Clear();
-      for (const Record& rec : st->build_cache) st->table.Insert(rec);
+      ReadPort(build_port, insert);
     }
-    if (probe_in_loop) {
-      ReadPort(probe_port, probe_one);
-    } else {
-      if (superstep == 0) {
-        if (st->spill_cache != nullptr) {
-          ReadPort(probe_port, [&](const Record& rec) {
-            SFDF_CHECK(st->spill_cache->Add(rec).ok());
-          });
-          SFDF_CHECK(st->spill_cache->Seal().ok());
-        } else {
-          CollectPort(probe_port, &st->probe_cache);
-          // Establish the requested cache order (Figure 4: A cached
-          // partitioned and sorted by tid) so downstream consumers see
-          // pre-sorted data every superstep.
-          const KeySpec& sort_key = task_->inputs[probe_port].cache_sort_key;
-          if (!sort_key.empty()) SortByKey(&st->probe_cache, sort_key);
-        }
-      }
-      if (st->spill_cache != nullptr) {
-        SFDF_CHECK(st->spill_cache->Replay(probe_one).ok());
-      } else {
-        for (const Record& rec : st->probe_cache) probe_one(rec);
-      }
-    }
+    ReadInput(probe_port, superstep, &st->probe_cache,
+              [&](const Record& probe) {
+                st->table.Probe(probe, probe_key, [&](const Record& build) {
+                  if (build_left) {
+                    task_->match_udf(build, probe, &collector_);
+                  } else {
+                    task_->match_udf(probe, build, &collector_);
+                  }
+                });
+              });
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-void TaskInstance::RunMatchSortMerge() {
-  PortsCollector collector(out_ptrs_);
-  std::vector<Record> left;
-  std::vector<Record> right;
-  CollectPort(0, &left);
-  CollectPort(1, &right);
-  SortByKey(&left, task_->key_left);
-  SortByKey(&right, task_->key_right);
-  MergeJoinGroups(left, task_->key_left, right, task_->key_right,
-                  [&](const std::vector<Record>& lgroup,
-                      const std::vector<Record>& rgroup) {
-                    for (const Record& l : lgroup) {
-                      for (const Record& r : rgroup) {
-                        task_->match_udf(l, r, &collector);
-                      }
-                    }
-                  });
-  SendEndStream();
-}
-
-LoopProgram TaskInstance::MakeMatchSortMergeLoop() {
-  struct State {
-    PortsCollector collector;
-    std::vector<Record> cache[2];
-    explicit State(std::vector<OutputPort*> ports)
-        : collector(std::move(ports)) {}
-  };
-  auto st = std::make_shared<State>(out_ptrs_);
-  LoopProgram prog;
-  prog.body = [this, st](int64_t superstep) {
+Program TaskInstance::MakeMergeGroups() {
+  const bool cogroup = task_->kind != OperatorKind::kMatch;
+  const bool inner = task_->kind == OperatorKind::kInnerCoGroup;
+  auto caches = std::make_shared<std::array<InputCache, 2>>();
+  Program prog;
+  prog.body = [this, caches, cogroup, inner](int64_t superstep) {
     std::vector<Record> sides[2];
     for (int port = 0; port < 2; ++port) {
-      if (PortInLoop(port)) {
-        CollectPort(port, &sides[port]);
-      } else {
-        if (superstep == 0) CollectPort(port, &st->cache[port]);
-        sides[port] = st->cache[port];
-      }
+      ReadInput(port, superstep, &(*caches)[port],
+                [&](const Record& rec) { sides[port].push_back(rec); });
     }
     SortByKey(&sides[0], task_->key_left);
     SortByKey(&sides[1], task_->key_right);
     MergeJoinGroups(sides[0], task_->key_left, sides[1], task_->key_right,
                     [&](const std::vector<Record>& lgroup,
                         const std::vector<Record>& rgroup) {
+                      if (cogroup) {
+                        if (inner && (lgroup.empty() || rgroup.empty())) {
+                          return;
+                        }
+                        task_->cogroup_udf(lgroup, rgroup, &collector_);
+                        return;
+                      }
                       for (const Record& l : lgroup) {
                         for (const Record& r : rgroup) {
-                          task_->match_udf(l, r, &st->collector);
+                          task_->match_udf(l, r, &collector_);
                         }
                       }
                     });
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-void TaskInstance::RunCross() {
-  PortsCollector collector(out_ptrs_);
-  const bool build_left = task_->local != LocalStrategy::kCrossBuildRight;
-  const int build_port = build_left ? 0 : 1;
-  const int probe_port = 1 - build_port;
-  std::vector<Record> build;
-  CollectPort(build_port, &build);
-  ReadPort(probe_port, [&](const Record& rec) {
-    for (const Record& b : build) {
-      if (build_left) {
-        task_->match_udf(b, rec, &collector);
-      } else {
-        task_->match_udf(rec, b, &collector);
-      }
-    }
-  });
-  SendEndStream();
-}
-
-LoopProgram TaskInstance::MakeCrossLoop() {
+Program TaskInstance::MakeCross() {
   const bool build_left = task_->local != LocalStrategy::kCrossBuildRight;
   const int build_port = build_left ? 0 : 1;
   const int probe_port = 1 - build_port;
   struct State {
-    PortsCollector collector;
-    std::vector<Record> build;
-    std::vector<Record> probe_cache;
-    explicit State(std::vector<OutputPort*> ports)
-        : collector(std::move(ports)) {}
+    std::vector<Record> build;  // a constant build side is its own cache
+    InputCache probe_cache;
   };
-  auto st = std::make_shared<State>(out_ptrs_);
-  LoopProgram prog;
+  auto st = std::make_shared<State>();
+  Program prog;
   prog.body = [this, st, build_left, build_port,
                probe_port](int64_t superstep) {
-    auto stream_one = [&](const Record& rec) {
-      for (const Record& b : st->build) {
-        if (build_left) {
-          task_->match_udf(b, rec, &st->collector);
-        } else {
-          task_->match_udf(rec, b, &st->collector);
-        }
-      }
-    };
-    if (PortInLoop(build_port)) {
+    if (PortInLoop(build_port) || superstep == 0) {
       st->build.clear();
       CollectPort(build_port, &st->build);
-    } else if (superstep == 0) {
-      CollectPort(build_port, &st->build);
     }
-    if (PortInLoop(probe_port)) {
-      ReadPort(probe_port, stream_one);
-    } else {
-      if (superstep == 0) CollectPort(probe_port, &st->probe_cache);
-      for (const Record& rec : st->probe_cache) stream_one(rec);
-    }
+    ReadInput(probe_port, superstep, &st->probe_cache,
+              [&](const Record& rec) {
+                for (const Record& b : st->build) {
+                  if (build_left) {
+                    task_->match_udf(b, rec, &collector_);
+                  } else {
+                    task_->match_udf(rec, b, &collector_);
+                  }
+                }
+              });
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
-  return prog;
-}
-
-void TaskInstance::RunCoGroup() {
-  PortsCollector collector(out_ptrs_);
-  const bool inner = task_->kind == OperatorKind::kInnerCoGroup;
-  std::vector<Record> left;
-  std::vector<Record> right;
-  CollectPort(0, &left);
-  CollectPort(1, &right);
-  SortByKey(&left, task_->key_left);
-  SortByKey(&right, task_->key_right);
-  MergeJoinGroups(left, task_->key_left, right, task_->key_right,
-                  [&](const std::vector<Record>& lgroup,
-                      const std::vector<Record>& rgroup) {
-                    if (inner && (lgroup.empty() || rgroup.empty())) return;
-                    task_->cogroup_udf(lgroup, rgroup, &collector);
-                  });
-  SendEndStream();
-}
-
-LoopProgram TaskInstance::MakeCoGroupLoop() {
-  const bool inner = task_->kind == OperatorKind::kInnerCoGroup;
-  struct State {
-    PortsCollector collector;
-    std::vector<Record> cache[2];
-    explicit State(std::vector<OutputPort*> ports)
-        : collector(std::move(ports)) {}
-  };
-  auto st = std::make_shared<State>(out_ptrs_);
-  LoopProgram prog;
-  prog.body = [this, st, inner](int64_t superstep) {
-    std::vector<Record> sides[2];
-    for (int port = 0; port < 2; ++port) {
-      if (PortInLoop(port)) {
-        CollectPort(port, &sides[port]);
-      } else {
-        if (superstep == 0) CollectPort(port, &st->cache[port]);
-        sides[port] = st->cache[port];
-      }
-    }
-    SortByKey(&sides[0], task_->key_left);
-    SortByKey(&sides[1], task_->key_right);
-    MergeJoinGroups(sides[0], task_->key_left, sides[1], task_->key_right,
-                    [&](const std::vector<Record>& lgroup,
-                        const std::vector<Record>& rgroup) {
-                      if (inner && (lgroup.empty() || rgroup.empty())) return;
-                      task_->cogroup_udf(lgroup, rgroup, &st->collector);
-                    });
-    SendSuperstepMarkers();
-  };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
 // --- bulk iteration roles ---------------------------------------------------
 
-LoopProgram TaskInstance::MakeBulkHead() {
-  struct State {
-    PortsCollector collector;
-    std::vector<Record> current;
-    explicit State(std::vector<OutputPort*> ports)
-        : collector(std::move(ports)) {}
-  };
-  auto st = std::make_shared<State>(out_ptrs_);
-  LoopProgram prog;
-  prog.body = [this, st](int64_t superstep) {
+Program TaskInstance::MakeBulkHead() {
+  Program prog;
+  prog.body = [this](int64_t superstep) {
     BulkRuntime& rt = BulkRt();
+    std::vector<Record> current;
     if (superstep == 0) {
       // First iteration: consume the initial partial solution.
-      CollectPort(0, &st->current);
+      CollectPort(0, &current);
     } else {
-      st->current = std::move(rt.feedback[partition_]);
+      current = std::move(rt.feedback[partition_]);
       rt.feedback[partition_].clear();
     }
     rt.coordinator->workset_consumed.fetch_add(
-        static_cast<int64_t>(st->current.size()), std::memory_order_relaxed);
-    for (const Record& rec : st->current) st->collector.Emit(rec);
+        static_cast<int64_t>(current.size()), std::memory_order_relaxed);
+    for (const Record& rec : current) collector_.Emit(rec);
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-LoopProgram TaskInstance::MakeBulkTail() {
-  LoopProgram prog;
+Program TaskInstance::MakeBulkTail() {
+  Program prog;
   prog.body = [this](int64_t) {
     BulkRuntime& rt = BulkRt();
     std::vector<Record>& buffer = rt.feedback[partition_];
@@ -887,16 +728,16 @@ LoopProgram TaskInstance::MakeBulkTail() {
   };
   prog.final_flush = [this] {
     // The buffer collected in the final superstep is the result.
-    BulkRuntime& rt = BulkRt();
-    PortsCollector collector(out_ptrs_);
-    for (const Record& rec : rt.feedback[partition_]) collector.Emit(rec);
+    for (const Record& rec : BulkRt().feedback[partition_]) {
+      collector_.Emit(rec);
+    }
     SendEndStream();
   };
   return prog;
 }
 
-LoopProgram TaskInstance::MakeTermSink() {
-  LoopProgram prog;
+Program TaskInstance::MakeTermSink() {
+  Program prog;
   prog.body = [this](int64_t) {
     BulkRuntime& rt = BulkRt();
     int64_t count = 0;
@@ -904,21 +745,19 @@ LoopProgram TaskInstance::MakeTermSink() {
     rt.coordinator->term_records.fetch_add(count, std::memory_order_relaxed);
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
 // --- workset iteration roles ------------------------------------------------
 
-LoopProgram TaskInstance::MakeWorksetHead() {
-  auto collector = std::make_shared<PortsCollector>(out_ptrs_);
-  LoopProgram prog;
-  prog.body = [this, collector](int64_t superstep) {
+Program TaskInstance::MakeWorksetHead() {
+  Program prog;
+  prog.body = [this](int64_t superstep) {
     WorksetRuntime& rt = WsRt();
     WorksetRuntime::Part& part = *rt.parts[partition_];
     int64_t count = 0;
     auto emit = [&](const Record& rec) {
-      collector->Emit(rec);
+      collector_.Emit(rec);
       ++count;
     };
     if (part.w0_pending) {
@@ -941,32 +780,29 @@ LoopProgram TaskInstance::MakeWorksetHead() {
                                                std::memory_order_relaxed);
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-LoopProgram TaskInstance::MakeWorksetTail() {
+Program TaskInstance::MakeWorksetTail() {
   // The tail's only output is its feedback port (BuildOutputs), which
   // routes W_{i+1} to the heads by the workset key and counts the records
   // shipped — they are the "messages" of the incremental iteration.
-  auto collector = std::make_shared<PortsCollector>(out_ptrs_);
-  LoopProgram prog;
-  prog.body = [this, collector](int64_t) {
+  Program prog;
+  prog.body = [this](int64_t) {
     int64_t count = 0;
     ReadPort(0, [&](const Record& rec) {
-      collector->Emit(rec);
+      collector_.Emit(rec);
       ++count;
     });
     WsRt().coordinator->workset_produced.fetch_add(count,
                                                    std::memory_order_relaxed);
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-LoopProgram TaskInstance::MakeDeltaApply() {
-  LoopProgram prog;
+Program TaskInstance::MakeDeltaApply() {
+  Program prog;
   prog.body = [this](int64_t) {
     WorksetRuntime& rt = WsRt();
     SolutionSetIndex* index = rt.index[partition_].get();
@@ -985,11 +821,8 @@ LoopProgram TaskInstance::MakeDeltaApply() {
   };
   prog.final_flush = [this] {
     // The converged solution set is the iteration's result (§5.1).
-    WorksetRuntime& rt = WsRt();
-    PortsCollector collector(out_ptrs_);
-    rt.index[partition_]->ForEach([&](const Record& rec) {
-      collector.Emit(rec);
-    });
+    WsRt().index[partition_]->ForEach(
+        [&](const Record& rec) { collector_.Emit(rec); });
     SendEndStream();
   };
   return prog;
@@ -1014,7 +847,7 @@ class ApplyCollector : public Collector {
   bool immediate_;
 };
 
-LoopProgram TaskInstance::MakeSolutionJoin() {
+Program TaskInstance::MakeSolutionJoin() {
   WorksetRuntime& rt = WsRt();
   SolutionSetIndex* index = rt.index[partition_].get();
   const int s_port = task_->solution_side;
@@ -1023,19 +856,11 @@ LoopProgram TaskInstance::MakeSolutionJoin() {
   const bool group_mode = task_->kind == OperatorKind::kCoGroup ||
                           task_->kind == OperatorKind::kInnerCoGroup;
   const bool inner = task_->kind != OperatorKind::kCoGroup;
+  auto apply =
+      std::make_shared<ApplyCollector>(index, &collector_, rt.immediate_apply);
 
-  struct State {
-    PortsCollector downstream;
-    ApplyCollector apply;
-    State(std::vector<OutputPort*> ports, SolutionSetIndex* idx,
-          bool immediate)
-        : downstream(std::move(ports)),
-          apply(idx, &downstream, immediate) {}
-  };
-  auto st = std::make_shared<State>(out_ptrs_, index, rt.immediate_apply);
-
-  LoopProgram prog;
-  prog.body = [this, st, index, s_port, probe_port, probe_key, group_mode,
+  Program prog;
+  prog.body = [this, apply, index, s_port, probe_port, probe_key, group_mode,
                inner](int64_t superstep) {
     if (superstep == 0) {
       // Build the S index from the initial solution (hash-partitioned
@@ -1050,9 +875,9 @@ LoopProgram TaskInstance::MakeSolutionJoin() {
         const Record* s_rec = index->Lookup(probe, probe_key);
         if (s_rec == nullptr) return;  // inner-join semantics
         if (s_port == 0) {
-          task_->match_udf(*s_rec, probe, &st->apply);
+          task_->match_udf(*s_rec, probe, apply.get());
         } else {
-          task_->match_udf(probe, *s_rec, &st->apply);
+          task_->match_udf(probe, *s_rec, apply.get());
         }
       });
     } else {
@@ -1070,96 +895,78 @@ LoopProgram TaskInstance::MakeSolutionJoin() {
                      if (s_rec != nullptr) s_group.push_back(*s_rec);
                      if (inner && s_group.empty()) return;
                      if (s_port == 0) {
-                       task_->cogroup_udf(s_group, group, &st->apply);
+                       task_->cogroup_udf(s_group, group, apply.get());
                      } else {
-                       task_->cogroup_udf(group, s_group, &st->apply);
+                       task_->cogroup_udf(group, s_group, apply.get());
                      }
                    });
     }
     SendSuperstepMarkers();
   };
-  prog.final_flush = [this] { SendEndStream(); };
   return prog;
 }
 
-void TaskInstance::RunOnce() {
-  SFDF_DCHECK(!IsLoopTask(*task_));
-  switch (task_->kind) {
-    case OperatorKind::kSource:
-      RunSource();
-      return;
-    case OperatorKind::kSink:
-      RunSink();
-      return;
-    case OperatorKind::kMap:
-    case OperatorKind::kFilter:
-    case OperatorKind::kUnion:
-      RunSimple();
-      return;
-    case OperatorKind::kReduce:
-      RunReduce();
-      return;
-    case OperatorKind::kMatch:
-      if (task_->local == LocalStrategy::kSortMerge) {
-        RunMatchSortMerge();
-      } else {
-        RunMatchHash();
-      }
-      return;
-    case OperatorKind::kCross:
-      RunCross();
-      return;
-    case OperatorKind::kCoGroup:
-    case OperatorKind::kInnerCoGroup:
-      RunCoGroup();
-      return;
-    default:
-      SFDF_CHECK(false) << "unexpected task kind "
-                        << OperatorKindName(task_->kind);
-  }
-}
-
-LoopProgram TaskInstance::MakeLoopProgram() {
+Program TaskInstance::MakeProgram() {
+  Program prog;
   switch (task_->role) {
     case TaskRole::kBulkHead:
-      return MakeBulkHead();
+      prog = MakeBulkHead();
+      break;
     case TaskRole::kBulkTail:
-      return MakeBulkTail();
+      prog = MakeBulkTail();
+      break;
     case TaskRole::kTermSink:
-      return MakeTermSink();
+      prog = MakeTermSink();
+      break;
     case TaskRole::kWorksetHead:
-      return MakeWorksetHead();
+      prog = MakeWorksetHead();
+      break;
     case TaskRole::kWorksetTail:
-      return MakeWorksetTail();
+      prog = MakeWorksetTail();
+      break;
     case TaskRole::kDeltaApply:
-      return MakeDeltaApply();
+      prog = MakeDeltaApply();
+      break;
     case TaskRole::kSolutionJoin:
-      return MakeSolutionJoin();
+      prog = MakeSolutionJoin();
+      break;
     case TaskRole::kRegular:
+      switch (task_->kind) {
+        case OperatorKind::kSource:
+          prog = MakeSource();
+          break;
+        case OperatorKind::kSink:
+          prog = MakeSink();
+          break;
+        case OperatorKind::kMap:
+        case OperatorKind::kFilter:
+        case OperatorKind::kUnion:
+          prog = MakeRecordOp();
+          break;
+        case OperatorKind::kReduce:
+          prog = MakeReduce();
+          break;
+        case OperatorKind::kMatch:
+          prog = task_->local == LocalStrategy::kSortMerge ? MakeMergeGroups()
+                                                           : MakeMatchHash();
+          break;
+        case OperatorKind::kCross:
+          prog = MakeCross();
+          break;
+        case OperatorKind::kCoGroup:
+        case OperatorKind::kInnerCoGroup:
+          prog = MakeMergeGroups();
+          break;
+        default:
+          SFDF_CHECK(false) << "unexpected task kind "
+                            << OperatorKindName(task_->kind);
+      }
       break;
   }
-  switch (task_->kind) {
-    case OperatorKind::kMap:
-    case OperatorKind::kFilter:
-    case OperatorKind::kUnion:
-      return MakeSimpleLoop();
-    case OperatorKind::kReduce:
-      return MakeReduceLoop();
-    case OperatorKind::kMatch:
-      if (task_->local == LocalStrategy::kSortMerge) {
-        return MakeMatchSortMergeLoop();
-      }
-      return MakeMatchHashLoop();
-    case OperatorKind::kCross:
-      return MakeCrossLoop();
-    case OperatorKind::kCoGroup:
-    case OperatorKind::kInnerCoGroup:
-      return MakeCoGroupLoop();
-    default:
-      SFDF_CHECK(false) << "unexpected loop task kind "
-                        << OperatorKindName(task_->kind);
-      return {};
-  }
+  // Unless the program emits a final result, its flush just closes every
+  // output lane.
+  if (!prog.final_flush) prog.final_flush = [this] { SendEndStream(); };
+  return prog;
 }
 
 // ---------------------------------------------------------------------------
@@ -1171,7 +978,7 @@ LoopProgram TaskInstance::MakeLoopProgram() {
 /// applied by the same logical task that owns the partition's index — no
 /// locking on the index.
 struct ChainStep {
-  enum class Kind { kMap, kFilter, kSolutionJoin, kMatchConst };
+  enum class Kind { kRecordOp, kSolutionJoin, kMatchConst };
   Kind kind;
   const PhysicalTask* task = nullptr;
   // kMatchConst: constant build side.
@@ -1254,10 +1061,8 @@ class MicrostepInstance {
       step.task = task;
       switch (task->kind) {
         case OperatorKind::kMap:
-          step.kind = ChainStep::Kind::kMap;
-          break;
         case OperatorKind::kFilter:
-          step.kind = ChainStep::Kind::kFilter;
+          step.kind = ChainStep::Kind::kRecordOp;
           break;
         case OperatorKind::kMatch:
           if (task->role == TaskRole::kSolutionJoin) {
@@ -1347,11 +1152,8 @@ class MicrostepInstance {
     } next(this, step_index + 1);
 
     switch (step.kind) {
-      case ChainStep::Kind::kMap:
-        step.task->map_udf(rec, &next);
-        break;
-      case ChainStep::Kind::kFilter:
-        if (step.task->filter_udf(rec)) next.Emit(rec);
+      case ChainStep::Kind::kRecordOp:
+        ApplyRecordOp(*step.task, rec, &next);
         break;
       case ChainStep::Kind::kSolutionJoin: {
         SolutionSetIndex* index = rt_.index[partition_].get();
@@ -1394,25 +1196,11 @@ class MicrostepInstance {
   void EmitResult() {
     // Emit this partition's converged solution set through the delta-apply
     // task's output ports (its downstream consumers expect P producers).
-    std::vector<std::unique_ptr<OutputPort>> outputs;
-    std::vector<OutputPort*> ptrs;
-    for (const auto& [consumer_id, port] :
-         ctx_->consumer_edges[delta_apply_task_->id]) {
-      const PhysicalTask& consumer = ctx_->task(consumer_id);
-      const PhysicalInput& edge = consumer.inputs[port];
-      std::vector<Exchange*> targets;
-      for (int p = 0; p < ctx_->parallelism; ++p) {
-        targets.push_back(ctx_->channels[consumer_id][port][p].get());
-      }
-      outputs.push_back(std::make_unique<OutputPort>(
-          std::move(targets), edge.ship, edge.ship_key, partition_,
-          &ctx_->metrics, /*in_loop=*/false));
-      ptrs.push_back(outputs.back().get());
-    }
-    PortsCollector collector(ptrs);
+    const auto outputs = MakePlanOutputs(ctx_, *delta_apply_task_, partition_);
+    PortsCollector collector(RawPorts(outputs));
     rt_.index[partition_]->ForEach(
         [&](const Record& rec) { collector.Emit(rec); });
-    for (OutputPort* port : ptrs) port->SendMarker(MarkerKind::kEndStream);
+    for (const auto& port : outputs) port->SendMarker(MarkerKind::kEndStream);
   }
 
   ExecContext* ctx_;
@@ -1454,27 +1242,13 @@ enum class PipeStatus : uint8_t {
 class PipelinedInstance {
  public:
   PipelinedInstance(ExecContext* ctx, const PhysicalTask* task, int partition)
-      : ctx_(ctx), task_(task), partition_(partition) {
-    for (const auto& [consumer_id, port] : ctx_->consumer_edges[task_->id]) {
-      const PhysicalTask& consumer = ctx_->task(consumer_id);
-      const PhysicalInput& edge = consumer.inputs[port];
-      std::vector<Exchange*> targets;
-      targets.reserve(ctx_->parallelism);
-      for (int p = 0; p < ctx_->parallelism; ++p) {
-        targets.push_back(ctx_->channels[consumer_id][port][p].get());
-      }
-      // A pipelined task is never a loop member, so none of its output
-      // ports carry loop data.
-      outputs_.push_back(std::make_unique<OutputPort>(
-          std::move(targets), edge.ship, edge.ship_key, partition_,
-          &ctx_->metrics, /*in_loop=*/false, edge.combiner, edge.combine_key));
-      out_ptrs_.push_back(outputs_.back().get());
-    }
+      : ctx_(ctx),
+        task_(task),
+        partition_(partition),
+        outputs_(MakePlanOutputs(ctx, *task, partition)),
+        out_ptrs_(RawPorts(outputs_)) {
     if (task_->kind == OperatorKind::kSource) {
-      const auto it = ctx_->source_override.find(task_->id);
-      source_data_ = it != ctx_->source_override.end()
-                         ? &it->second
-                         : task_->source_data.get();
+      source_data_ = &ctx_->source_data(*task_);
       cursor_ = static_cast<size_t>(partition_);
     }
   }
@@ -1543,9 +1317,9 @@ class PipelinedInstance {
     return true;
   }
 
-  /// Resumable source scan: same `partition + i*P` stride as RunSource, but
-  /// the cursor persists across polls so a backpressured source picks up
-  /// exactly where it stopped.
+  /// Resumable source scan: same `partition + i*P` stride as the Source
+  /// program, but the cursor persists across polls so a backpressured
+  /// source picks up exactly where it stopped.
   int64_t EmitSource() {
     const std::vector<Record>& data = *source_data_;
     const size_t stride = static_cast<size_t>(ctx_->parallelism);
@@ -1565,51 +1339,29 @@ class PipelinedInstance {
   /// Drains whatever the input lanes currently hold, stopping early when an
   /// output stalls. Returns the number of records popped.
   int64_t DrainInputs() {
+    if (task_->kind == OperatorKind::kSink) {
+      // Sinks have no outputs, so they never stall — the chain always
+      // drains from the bottom, which is what makes backpressure
+      // deadlock-free on an acyclic region graph.
+      std::vector<Record>& slot = ctx_->sink_slots[task_->id][partition_];
+      return Input(0)->DrainOpen([&](const RecordBatch& batch) {
+        for (const Record& rec : batch) slot.push_back(rec);
+      });
+    }
     const auto stalled = [this] { return AnyOutputStalled(); };
     PortsCollector collector(out_ptrs_);
-    switch (task_->kind) {
-      case OperatorKind::kMap:
-        return Input(0)->DrainOpenUntil(
-            [&](const RecordBatch& batch) {
-              for (const Record& rec : batch) task_->map_udf(rec, &collector);
-            },
-            stalled);
-      case OperatorKind::kFilter:
-        return Input(0)->DrainOpenUntil(
-            [&](const RecordBatch& batch) {
-              for (const Record& rec : batch) {
-                if (task_->filter_udf(rec)) collector.Emit(rec);
-              }
-            },
-            stalled);
-      case OperatorKind::kUnion: {
-        int64_t popped = 0;
-        for (size_t port = 0; port < task_->inputs.size(); ++port) {
-          popped += Input(static_cast<int>(port))
-                        ->DrainOpenUntil(
-                            [&](const RecordBatch& batch) {
-                              for (const Record& rec : batch) {
-                                collector.Emit(rec);
-                              }
-                            },
-                            stalled);
-        }
-        return popped;
-      }
-      case OperatorKind::kSink: {
-        // Sinks have no outputs, so they never stall — the chain always
-        // drains from the bottom, which is what makes backpressure
-        // deadlock-free on an acyclic region graph.
-        std::vector<Record>& slot = ctx_->sink_slots[task_->id][partition_];
-        return Input(0)->DrainOpen([&](const RecordBatch& batch) {
-          for (const Record& rec : batch) slot.push_back(rec);
-        });
-      }
-      default:
-        SFDF_CHECK(false) << "pipelined step on "
-                          << OperatorKindName(task_->kind);
-        return 0;
+    int64_t popped = 0;
+    for (size_t port = 0; port < task_->inputs.size(); ++port) {
+      popped += Input(static_cast<int>(port))
+                    ->DrainOpenUntil(
+                        [&](const RecordBatch& batch) {
+                          for (const Record& rec : batch) {
+                            ApplyRecordOp(*task_, rec, &collector);
+                          }
+                        },
+                        stalled);
     }
+    return popped;
   }
 
   ExecContext* ctx_;
@@ -2104,7 +1856,7 @@ ExecutionResult AssembleResult(const PhysicalPlan& plan, ExecContext* ctx_ptr,
 /// One loop task instance of a superstep wave.
 struct LoopUnit {
   TaskInstance* instance = nullptr;
-  LoopProgram program;
+  Program program;
 };
 
 /// A schedulable region of the plan. The plan's exchange graph is a DAG —
@@ -2113,7 +1865,7 @@ struct LoopUnit {
 /// regions — so regions can run strictly producers-before-consumers:
 ///   kTask  — one non-loop physical task: P one-shot units, runnable once
 ///            every producer region completed (its input phases are then
-///            fully delivered, so the existing streaming drivers run
+///            fully delivered, so each unit runs its task's program once
 ///            without ever blocking).
 ///   kWave  — one superstep iteration: self-scheduling superstep waves
 ///            (see ScheduleWave); completes after its final flush.
@@ -2510,7 +2262,7 @@ class PlanSchedule {
       for (int p = 0; p < P; ++p) {
         TaskInstance* inst = instance(task->id, p);
         node->stages[depth[task->id]].push_back(
-            LoopUnit{inst, inst->MakeLoopProgram()});
+            LoopUnit{inst, inst->MakeProgram()});
       }
     }
     node->stage_remaining.clear();
@@ -2898,7 +2650,10 @@ class PlanSchedule {
     }
     std::lock_guard<std::mutex> lock(mutex_);
     --nodes_remaining_;
-    if (nodes_remaining_ == 0) cv_.notify_all();
+    // WaitPlanDone waits for 0, WaitQuiesced (a session) for the resident
+    // regions alone: a non-resident region can complete after the cold
+    // round ended, and its waiter must hear about it.
+    if (nodes_remaining_ <= resident_pending_) cv_.notify_all();
   }
 
   const PhysicalPlan* plan_;

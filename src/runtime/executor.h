@@ -3,13 +3,14 @@
 // The executor instantiates every physical task once per partition, wires
 // the instances with exchanges according to each edge's ship strategy, and
 // schedules the work on a shared worker-pool Engine (runtime/engine.h) in
-// dataflow-topological order: one-shot tasks run when their producers'
-// streams are complete; iterations run as superstep waves of resumable
-// partition tasks that run-to-superstep-boundary and re-enqueue from an
-// atomic arrival gate (Sections 4.2, 5.3). Workset iterations that pass the
-// Section 5.2 analysis may instead run as an asynchronous fused microstep
-// loop with quiescence-based termination detection, scheduled as
-// cooperative polling tasks on the same pool. No dataflow ever pins an OS
+// dataflow-topological order. Every task runs its operator's one program:
+// iterations run it as superstep waves of resumable partition tasks that
+// run-to-superstep-boundary and re-enqueue from an atomic arrival gate
+// (Sections 4.2, 5.3); a one-shot task runs it once, when its producers'
+// streams are complete. Workset iterations that pass the Section 5.2
+// analysis may instead run as an asynchronous fused microstep loop with
+// quiescence-based termination detection, scheduled as cooperative
+// polling tasks on the same pool. No dataflow ever pins an OS
 // thread: a resident session between rounds has nothing queued and costs
 // zero worker time, which is what lets one process serve many concurrent
 // sessions on a pool of any size (see src/service/service_host.h).

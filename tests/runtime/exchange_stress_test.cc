@@ -59,14 +59,21 @@ TEST(ExchangeStressTest, ManyProducersManyPhases) {
   exchange.ReadPhase(MarkerKind::kEndStream,
                      [](const RecordBatch&) { FAIL() << "data after end"; });
   for (std::thread& t : producers) t.join();
-  // Every data batch was cut through the pool; how many were hits depends
-  // on scheduling (a producer bursting ahead of the consumer finds its
-  // returns queue still empty — the buffers it would reuse are queued,
-  // unconsumed, in its own lane), but recycling must demonstrably happen.
-  const Exchange::Stats stats = exchange.stats();
-  EXPECT_EQ(stats.pool_hits + stats.pool_misses,
+  // Every data batch was cut through the pool. How many of the producers'
+  // acquisitions were hits depends on scheduling (a producer bursting ahead
+  // of the consumer finds its returns queue still empty — the buffers it
+  // would reuse are queued, unconsumed, in its own lane). Recycling itself
+  // does not: the consumer returned each lane's last batch after that
+  // lane's producer made its last acquisition, so one more acquisition per
+  // lane must hit.
+  const Exchange::Stats before = exchange.stats();
+  EXPECT_EQ(before.pool_hits + before.pool_misses,
             int64_t{kProducers} * kPhases * kPerPhase);
-  EXPECT_GT(stats.pool_hits, 0);
+  for (int p = 0; p < kProducers; ++p) exchange.AcquireBatch(p);
+  const Exchange::Stats after = exchange.stats();
+  EXPECT_EQ(after.pool_hits, before.pool_hits + kProducers);
+  EXPECT_EQ(after.pool_hits + after.pool_misses,
+            int64_t{kProducers} * kPhases * kPerPhase + kProducers);
 }
 
 TEST(ExchangeStressTest, ResetSeedAcrossSessionRounds) {

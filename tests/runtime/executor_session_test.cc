@@ -5,7 +5,13 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,13 +26,17 @@ namespace {
 struct CcSessionPlan {
   PhysicalPlan physical;
   std::vector<Record> output;
+  std::vector<Record> side_output;  ///< sink of an optional side branch
 };
 
 /// INCR-CC over a 4-vertex graph with the given symmetric edges. Solution
-/// records are (vid, cid); workset candidates are (vid, cid).
+/// records are (vid, cid); workset candidates are (vid, cid). `add_branch`
+/// may wire more operators into the same plan.
 std::unique_ptr<CcSessionPlan> BuildCcPlan(
     const std::vector<std::pair<int64_t, int64_t>>& edge_list,
-    int max_iterations) {
+    int max_iterations,
+    const std::function<void(PlanBuilder*, CcSessionPlan*)>& add_branch =
+        nullptr) {
   auto built = std::make_unique<CcSessionPlan>();
 
   std::vector<Record> labels;
@@ -67,6 +77,7 @@ std::unique_ptr<CcSessionPlan> BuildCcPlan(
   pb.DeclarePreserved(next, 1, 1, 0);
   auto result = it.Close(delta, next);
   pb.Sink("labels", result, &built->output);
+  if (add_branch) add_branch(&pb, built.get());
   Plan plan = std::move(pb).Finish();
 
   Optimizer optimizer(OptimizerOptions{});
@@ -181,6 +192,44 @@ TEST(ExecutorSessionTest, ReconfigureAfterCapTruncatedRoundKeepsLeftover) {
   EXPECT_EQ(SolutionLabels(**session),
             (std::map<int64_t, int64_t>{{0, 0}, {1, 0}, {2, 0}, {3, 0}}));
   ASSERT_TRUE((*session)->Finish().ok());
+}
+
+TEST(ExecutorSessionTest, ReconfigureWaitsOutASlowBranchBesideTheLoop) {
+  // A one-shot branch beside the resident loop is still running when the
+  // cold round ends. Reconfigure's quiesce must wake when that branch
+  // completes, although the plan as a whole never completes before Finish.
+  auto built = BuildCcPlan(
+      {{0, 1}, {2, 3}}, 1000, [](PlanBuilder* pb, CcSessionPlan* plan) {
+        auto side = pb->Source(
+            "side", std::vector<Record>{Record::OfInts(0), Record::OfInts(1)});
+        auto slow =
+            pb->Map("slow", side, [](const Record& rec, Collector* out) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(300));
+              out->Emit(rec);
+            });
+        pb->Sink("side_out", slow, &plan->side_output);
+      });
+  Executor executor(ExecutionOptions{.parallelism = 2, .worker_threads = 4});
+  auto session = executor.StartSession(built->physical);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  ExecutionSession* raw = session->get();
+  auto reconfigured =
+      std::async(std::launch::async, [raw] { return raw->Reconfigure(2); });
+  if (reconfigured.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    // A lost wakeup cannot be cancelled from here, and the future's
+    // destructor would wait on it forever: fail the binary instead.
+    std::fprintf(stderr, "Reconfigure did not return within 30 s\n");
+    std::_Exit(1);
+  }
+  auto resumed = reconfigured.get();
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->converged);
+  EXPECT_EQ(SolutionLabels(**session),
+            (std::map<int64_t, int64_t>{{0, 0}, {1, 0}, {2, 2}, {3, 2}}));
+  ASSERT_TRUE((*session)->Finish().ok());
+  EXPECT_EQ(built->side_output.size(), 2u);
 }
 
 TEST(ExecutorSessionTest, DestructorFinishesImplicitly) {
