@@ -908,8 +908,7 @@ Result<PhysicalPlan> Optimizer::Optimize(const Plan& plan) const {
         input.ship_key = choice.required_partitioning;
       }
       if (choice.use_combiner && node.combiner) {
-        input.combiner = node.combiner;
-        input.combine_key = node.key_left;
+        input.combiner = node.combiner;  // folds on the ship key (key_left)
       }
       bool producer_dynamic = ctx.IsDynamic(producer_node);
       input.constant_path = !producer_dynamic && ctx.IsDynamic(node.id);

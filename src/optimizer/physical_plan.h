@@ -58,8 +58,8 @@ struct PhysicalInput {
   /// on the constant path — the Figure 4 cache "partitioned and sorted").
   KeySpec cache_sort_key;
   /// Combiner applied in the router before shipping (chained pre-aggregation).
+  /// Set only on a kHashPartition edge; it folds records equal on ship_key.
   CombineFn combiner;
-  KeySpec combine_key;
 };
 
 /// One physical task (operator instance template; the executor clones it per

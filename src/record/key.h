@@ -89,15 +89,12 @@ inline int CompareKeys(const Record& a, const KeySpec& ka, const Record& b,
 }
 
 /// Partition assignment used by every hash-exchange in the runtime: Lemire
-/// fast-range, mapping the full 64-bit hash onto [0, num_partitions) with a
+/// fast-range, mapping a full 64-bit key hash onto [0, num_partitions) with a
 /// multiply + shift instead of the hardware divide that `%` costs on the
 /// hot shipping path. The mapping consumes the hash's high bits (scaled
-/// uniformly), so records with equal key values still agree on a partition
-/// regardless of field position — the property hash-partitioned streams
-/// probing partition-local hash tables rely on.
-inline int PartitionOf(const Record& rec, const KeySpec& key,
-                       int num_partitions) {
-  const uint64_t h = HashKey(rec, key);
+/// uniformly), which leaves the low bits free to pick a slot in a
+/// per-partition table keyed by the same hash (the router's combiner).
+inline int PartitionOfHash(uint64_t h, int num_partitions) {
   const uint64_t n = static_cast<uint64_t>(num_partitions);
 #ifdef __SIZEOF_INT128__
   return static_cast<int>(
@@ -113,6 +110,15 @@ inline int PartitionOf(const Record& rec, const KeySpec& key,
   const uint64_t mid2 = h_lo * n_hi + (mid & 0xffffffffULL);
   return static_cast<int>(h_hi * n_hi + (mid >> 32) + (mid2 >> 32));
 #endif
+}
+
+/// The partition of `rec` under `key`: PartitionOfHash over HashKey, so
+/// records with equal key values agree on a partition regardless of field
+/// position — the property hash-partitioned streams probing
+/// partition-local hash tables rely on.
+inline int PartitionOf(const Record& rec, const KeySpec& key,
+                       int num_partitions) {
+  return PartitionOfHash(HashKey(rec, key), num_partitions);
 }
 
 /// One entry of a field-preservation contract: input field `from` is copied

@@ -275,7 +275,7 @@ std::vector<std::unique_ptr<OutputPort>> MakePlanOutputs(
         IsLoopTask(task) && IsLoopTask(consumer) && SameLoop(task, consumer);
     ports.push_back(std::make_unique<OutputPort>(
         std::move(targets), edge.ship, edge.ship_key, partition, &ctx->metrics,
-        in_loop, edge.combiner, edge.combine_key));
+        in_loop, edge.combiner));
   }
   return ports;
 }

@@ -86,6 +86,9 @@ class LatencyHistogram {
   int64_t count_ = 0;
 };
 
+/// Run-wide shipping counters. One instance is shared by every task thread
+/// of a run, and each counter is one relaxed atomic on a shared cache line:
+/// count once per batch or flush, never per record.
 class Metrics {
  public:
   void CountShipped(int64_t records, int64_t bytes, int64_t remote_records) {

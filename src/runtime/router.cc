@@ -4,9 +4,50 @@
 
 namespace sfdf {
 
+bool CombineTable::Fold(const Record& rec, uint64_t hash, const KeySpec& key,
+                        const CombineFn& combine) {
+  if (slots_.size() < 2 * (records_.size() + 1)) Grow();
+  for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+    const int32_t slot = slots_[i];
+    if (slot < 0) {
+      slots_[i] = static_cast<int32_t>(records_.size());
+      records_.push_back(rec);
+      hashes_.push_back(hash);
+      return false;
+    }
+    if (hashes_[slot] == hash && KeyEquals(records_[slot], key, rec, key)) {
+      records_[slot] = combine(records_[slot], rec);
+      return true;
+    }
+  }
+}
+
+void CombineTable::Grow() {
+  const size_t capacity = slots_.empty() ? 64 : 2 * slots_.size();
+  slots_.assign(capacity, -1);
+  mask_ = capacity - 1;
+  for (size_t e = 0; e < hashes_.size(); ++e) {
+    size_t i = hashes_[e] & mask_;
+    while (slots_[i] >= 0) i = (i + 1) & mask_;
+    slots_[i] = static_cast<int32_t>(e);
+  }
+}
+
+void CombineTable::Clear() {
+  // Entry e sits on its probe path behind only earlier entries, which are
+  // already cleared when e is reached, so the walk visits no live slot.
+  for (size_t e = 0; e < hashes_.size(); ++e) {
+    size_t i = hashes_[e] & mask_;
+    while (slots_[i] != static_cast<int32_t>(e)) i = (i + 1) & mask_;
+    slots_[i] = -1;
+  }
+  records_.clear();
+  hashes_.clear();
+}
+
 OutputPort::OutputPort(std::vector<Exchange*> targets, ShipStrategy ship,
                        KeySpec ship_key, int my_partition, Metrics* metrics,
-                       bool in_loop, CombineFn combiner, KeySpec combine_key)
+                       bool in_loop, CombineFn combiner)
     : targets_(std::move(targets)),
       ship_(ship),
       ship_key_(ship_key),
@@ -17,11 +58,8 @@ OutputPort::OutputPort(std::vector<Exchange*> targets, ShipStrategy ship,
       stalled_(targets_.size(), 0),
       has_pending_marker_(targets_.size(), 0),
       pending_marker_(targets_.size(), MarkerKind::kData),
-      combiner_(std::move(combiner)),
-      combine_key_(combine_key) {
-  if (combiner_) {
-    combine_buffers_.resize(targets_.size());
-  }
+      combiner_(std::move(combiner)) {
+  if (combiner_) combine_tables_.resize(targets_.size());
 }
 
 void OutputPort::SendTo(int partition, const Record& rec) {
@@ -32,7 +70,6 @@ void OutputPort::SendTo(int partition, const Record& rec) {
     buffer = targets_[partition]->AcquireBatch(my_partition_);
   }
   buffer.Add(rec);
-  ++records_sent_;
   if (buffer.size() >= RecordBatch::kDefaultBatchSize) {
     FlushPartition(partition);
   }
@@ -44,18 +81,14 @@ void OutputPort::Send(const Record& rec) {
       SendTo(my_partition_, rec);
       break;
     case ShipStrategy::kHashPartition: {
-      int target =
-          PartitionOf(rec, ship_key_, static_cast<int>(targets_.size()));
+      // One hash picks the target (high bits) and, with a combiner, the
+      // fold-table slot (low bits); merged records ship at flush.
+      const uint64_t hash = HashKey(rec, ship_key_);
+      const int target =
+          PartitionOfHash(hash, static_cast<int>(targets_.size()));
       if (combiner_) {
-        // Pre-aggregate per target partition; ship merged records at flush.
-        auto& map = combine_buffers_[target];
-        CompositeKey key = CompositeKey::From(rec, combine_key_);
-        auto it = map.find(key);
-        if (it == map.end()) {
-          map.emplace(key, rec);
-        } else {
-          it->second = combiner_(it->second, rec);
-          metrics_->CountCombined(1);
+        if (combine_tables_[target].Fold(rec, hash, ship_key_, combiner_)) {
+          ++combined_;
         }
       } else {
         SendTo(target, rec);
@@ -133,11 +166,15 @@ bool OutputPort::TryDrainStalled() {
 
 void OutputPort::FlushCombiner() {
   if (!combiner_) return;
-  for (size_t p = 0; p < combine_buffers_.size(); ++p) {
-    for (const auto& [key, rec] : combine_buffers_[p]) {
+  for (size_t p = 0; p < combine_tables_.size(); ++p) {
+    for (const Record& rec : combine_tables_[p].records()) {
       SendTo(static_cast<int>(p), rec);
     }
-    combine_buffers_[p].clear();
+    combine_tables_[p].Clear();
+  }
+  if (combined_ > 0) {
+    metrics_->CountCombined(combined_);
+    combined_ = 0;
   }
 }
 

@@ -4,34 +4,60 @@
 // optimization the paper notes for PageRank (Section 6.1). The port writes
 // exclusively to lane `my_partition` of every target exchange (the SPSC
 // contract of the v2 data plane) and cuts its batch buffers from the
-// target lane's recycle pool.
+// target lane's recycle pool. A combiner folds per target partition in a
+// flat CombineTable keyed by the ship-key hash that also chose the target.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dataflow/udf.h"
 #include "optimizer/strategies.h"
 #include "record/key.h"
 #include "runtime/exchange.h"
-#include "runtime/hash_table.h"
 #include "runtime/metrics.h"
 
 namespace sfdf {
+
+/// Combine table of one target partition: open addressing with linear
+/// probing over an int32 slot array (kept at least twice the live entries),
+/// indexing dense `records`/`hashes` vectors in insertion order. The slot is
+/// the hash's low bits; the partition consumed its high bits. Clear resets
+/// only the occupied slots and keeps every capacity, so a port folding the
+/// same keys superstep after superstep allocates nothing in steady state.
+class CombineTable {
+ public:
+  /// Folds `rec` into the entry whose `key` fields equal its own, or
+  /// inserts it. `hash` is HashKey(rec, key). Returns true when it folded.
+  bool Fold(const Record& rec, uint64_t hash, const KeySpec& key,
+            const CombineFn& combine);
+
+  /// The folded records, in first-insertion order.
+  const std::vector<Record>& records() const { return records_; }
+
+  void Clear();
+
+ private:
+  void Grow();
+
+  std::vector<int32_t> slots_;  // index into records_, or -1 when empty
+  std::vector<Record> records_;
+  std::vector<uint64_t> hashes_;
+  size_t mask_ = 0;
+};
 
 class OutputPort {
  public:
   /// `targets[p]` is the exchange into the consumer's partition p.
   /// `my_partition` is the producing instance's partition: the kForward
   /// target, the remote-record accounting base, and the lane this port owns
-  /// in every target exchange.
+  /// in every target exchange. A `combiner` applies on a kHashPartition edge
+  /// only and folds records with equal `ship_key` fields.
   OutputPort(std::vector<Exchange*> targets, ShipStrategy ship,
              KeySpec ship_key, int my_partition, Metrics* metrics,
-             bool in_loop, CombineFn combiner = nullptr,
-             KeySpec combine_key = KeySpec());
+             bool in_loop, CombineFn combiner = nullptr);
 
   /// Routes one record (buffered; flushed in batches).
   void Send(const Record& rec);
@@ -73,8 +99,6 @@ class OutputPort {
     after_publish_ = std::move(after);
   }
 
-  int64_t records_sent() const { return records_sent_; }
-
  private:
   void SendTo(int partition, const Record& rec);
   bool FlushPartition(int partition);
@@ -102,17 +126,16 @@ class OutputPort {
   std::vector<MarkerKind> pending_marker_;
   int stalled_count_ = 0;
 
-  // Combiner state: per target partition, merged records by key.
+  // Combiner state: one fold table per target partition, and the records
+  // folded since the last flush — published to the shared Metrics once per
+  // flush, never per record.
   CombineFn combiner_;
-  KeySpec combine_key_;
-  std::vector<std::unordered_map<CompositeKey, Record, CompositeKeyHash>>
-      combine_buffers_;
+  std::vector<CombineTable> combine_tables_;
+  int64_t combined_ = 0;
 
   // Barrier-free publish hooks (null in superstep mode).
   std::function<void(int, int64_t)> before_publish_;
   std::function<void(int)> after_publish_;
-
-  int64_t records_sent_ = 0;
 };
 
 /// Collector adapter fanning one emission out to several output ports.

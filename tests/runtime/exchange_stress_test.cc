@@ -222,7 +222,7 @@ TEST(ExchangeStressTest, CombinerFlushesBeforeMarkerAcrossPhases) {
   Metrics metrics;
   std::thread producer([&] {
     OutputPort port({&exchange}, ShipStrategy::kHashPartition, KeySpec{0}, 0,
-                    &metrics, /*in_loop=*/true, sum, KeySpec{0});
+                    &metrics, /*in_loop=*/true, sum);
     for (int phase = 0; phase < kPhases; ++phase) {
       for (int i = 0; i < kKeys * kPerKey; ++i) {
         port.Send(Record::OfInts(i % kKeys, 1, phase));

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <thread>
+#include <vector>
 
 namespace sfdf {
 namespace {
@@ -103,7 +106,7 @@ TEST(RouterTest, CombinerPreAggregates) {
     return Record::OfInts(a.GetInt(0), a.GetInt(1) + b.GetInt(1));
   };
   OutputPort port(fx.targets, ShipStrategy::kHashPartition, KeySpec{0}, 0,
-                  &fx.metrics, false, sum, KeySpec{0});
+                  &fx.metrics, false, sum);
   for (int i = 0; i < 30; ++i) {
     port.Send(Record::OfInts(i % 3, 1));  // 3 keys, 10 records each
   }
@@ -121,6 +124,93 @@ TEST(RouterTest, CombinerPreAggregates) {
   }
   EXPECT_EQ(fx.metrics.records_shipped(), 3);
   EXPECT_EQ(fx.metrics.records_combined(), 27);
+}
+
+TEST(RouterTest, CombineTableGrowsAndResetsAcrossPhases) {
+  // 20k distinct keys force the fold tables to grow many times in the first
+  // phase; later phases reuse the grown tables. Every phase must deliver
+  // each key once with exactly that phase's sum — an entry surviving a
+  // flush would ship twice or inflate the next phase's total.
+  const int kKeys = 20000;
+  const int kPerKey = 3;
+  const int kPhases = 3;
+  RouterFixture fx(4, 1);
+  CombineFn sum = [](const Record& a, const Record& b) {
+    return Record::OfInts(a.GetInt(0), a.GetInt(1) + b.GetInt(1),
+                          a.GetInt(2));
+  };
+  OutputPort port(fx.targets, ShipStrategy::kHashPartition, KeySpec{0}, 0,
+                  &fx.metrics, /*in_loop=*/true, sum);
+  for (int phase = 0; phase < kPhases; ++phase) {
+    for (int rep = 0; rep < kPerKey; ++rep) {
+      for (int key = 0; key < kKeys; ++key) {
+        port.Send(Record::OfInts(key, phase + 1, phase));
+      }
+    }
+    port.SendMarker(MarkerKind::kEndSuperstep);
+    std::vector<int> seen(kKeys, 0);
+    for (int p = 0; p < 4; ++p) {
+      for (const Record& rec : fx.Drain(p, MarkerKind::kEndSuperstep)) {
+        const int64_t key = rec.GetInt(0);
+        ASSERT_TRUE(key >= 0 && key < kKeys);
+        EXPECT_EQ(PartitionOf(rec, KeySpec{0}, 4), p);
+        EXPECT_EQ(rec.GetInt(1), kPerKey * (phase + 1)) << key;
+        EXPECT_EQ(rec.GetInt(2), phase) << key;
+        ++seen[key];
+      }
+    }
+    for (int key = 0; key < kKeys; ++key) {
+      ASSERT_EQ(seen[key], 1) << "phase " << phase << " key " << key;
+    }
+  }
+  EXPECT_EQ(fx.metrics.records_combined(),
+            int64_t{kPhases} * kKeys * (kPerKey - 1));
+  EXPECT_EQ(fx.metrics.records_shipped(), int64_t{kPhases} * kKeys);
+}
+
+TEST(RouterTest, CombinedCountIsExactAcrossThreads) {
+  // Four producer instances, each its own combining port on its own lane,
+  // share one Metrics as the executor's task threads do. The port-local
+  // counts published at each flush must add up exactly.
+  const int kThreads = 4;
+  const int kPhases = 10;
+  const int kKeys = 1000;
+  const int kSendsPerPhase = 10000;  // 100k sends per thread
+  RouterFixture fx(kThreads, kThreads);
+  CombineFn sum = [](const Record& a, const Record& b) {
+    return Record::OfInts(a.GetInt(0), a.GetInt(1) + b.GetInt(1));
+  };
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&fx, &sum, t] {
+      OutputPort port(fx.targets, ShipStrategy::kHashPartition, KeySpec{0}, t,
+                      &fx.metrics, /*in_loop=*/true, sum);
+      for (int phase = 0; phase < kPhases; ++phase) {
+        for (int i = 0; i < kSendsPerPhase; ++i) {
+          port.Send(Record::OfInts(i % kKeys, 1));
+        }
+        port.SendMarker(MarkerKind::kEndSuperstep);
+      }
+      port.SendMarker(MarkerKind::kEndStream);
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  const int64_t folds_per_phase = kSendsPerPhase - kKeys;
+  EXPECT_EQ(fx.metrics.records_combined(),
+            int64_t{kThreads} * kPhases * folds_per_phase);
+  EXPECT_EQ(fx.metrics.records_shipped(), int64_t{kThreads} * kPhases * kKeys);
+  for (int phase = 0; phase < kPhases; ++phase) {
+    std::map<int64_t, int64_t> totals;
+    for (int p = 0; p < kThreads; ++p) {
+      for (const Record& rec : fx.Drain(p, MarkerKind::kEndSuperstep)) {
+        totals[rec.GetInt(0)] += rec.GetInt(1);
+      }
+    }
+    ASSERT_EQ(totals.size(), static_cast<size_t>(kKeys)) << phase;
+    for (const auto& [key, total] : totals) {
+      EXPECT_EQ(total, int64_t{kThreads} * (kSendsPerPhase / kKeys)) << key;
+    }
+  }
 }
 
 TEST(RouterTest, LargeVolumeFlushesInBatches) {
