@@ -45,10 +45,13 @@
 // `Wake`, which moves the continuation back onto the client's queue. The
 // wake side is race-free against a concurrent park — a Wake that arrives
 // while the task is still deciding to park is remembered as pending and
-// consumed by the Park call itself, so no wake-up is ever lost. The fused
-// microstep loop uses this to replace its idle-poll backoff: a partition
-// parks when its queue is empty and is woken by whichever peer stages
-// records for it (or observes global quiescence).
+// consumed by the Park call itself, so no wake-up is ever lost. The
+// executor's cooperative PollUnits — microstep chains, barrier-free local
+// rounds and pipelined streaming tasks — use this instead of idle polling:
+// a unit parks when its lanes are empty and is woken by whichever producer
+// or peer stages records for it (or observes global quiescence). Each
+// poll node owns one slot per partition for the plan schedule's whole
+// life.
 //
 // ## Queue-wait accounting
 //

@@ -135,7 +135,7 @@ struct WorksetRuntime {
     /// round that is currently executing (barrier-free only); their
     /// credits are returned in one batch at the end of the round, after
     /// the round's own children were published (exact-credit rule). Only
-    /// touched by the partition's own round task.
+    /// touched by the partition's own AsyncRoundUnit.
     int64_t popped_this_round = 0;
     /// The head still owes a read of its external W_0 port (set at setup
     /// and by the controller when it seeds a round, cleared by the head's
@@ -147,9 +147,8 @@ struct WorksetRuntime {
   /// round's start; the per-round iteration cap counts against it.
   /// Controller-written under round quiescence.
   std::vector<int64_t> async_round_base;
-  /// Wakes partition p's parked round task or microstep unit (installed by
-  /// the scheduler once the node's park slots exist; only called from
-  /// inside the node's own tasks).
+  /// Wakes partition p's parked PollUnit (installed by the scheduler with
+  /// the node's park slots; only called from inside the node's own units).
   std::function<void(int)> wake;
 
   IterationReport report;
@@ -988,39 +987,78 @@ struct ChainStep {
   bool const_is_left = false;
 };
 
-/// Cooperative microstep unit (runtime v3): instead of a dedicated thread
-/// parked on a condition variable, each partition is a schedulable task.
-/// Step() drains whatever its partition's feedback exchange holds, runs
-/// the fused chain, and returns kWorked — the scheduler re-enqueues it.
-/// When its lanes are empty but records are still in flight elsewhere it
-/// returns kIdle and the scheduler PARKS it on an engine park slot: the
-/// unit costs no worker time until a peer publishes records for its
-/// partition (the feedback port's credit hooks wake the target's slot) or
-/// proves global quiescence (the kDone path broadcasts a wake so every
-/// parked peer re-checks the credits and finishes). Once the coordinator's
-/// credit counter is quiescent the unit emits its partition's converged
-/// solution and returns kDone. Liveness needs only one pool worker: a unit
-/// either has queued work (it is scheduled) or an obligated waker (whoever
-/// holds its future input, or whoever reaches quiescence) — the
-/// lost-wakeup race is closed inside Engine::Park/Wake via the
-/// wake-pending handshake.
-enum class MicroStatus { kWorked, kIdle, kDone };
+// ---------------------------------------------------------------------------
+// PollUnit: one partition of a cooperative polling node
+// ---------------------------------------------------------------------------
 
-class MicrostepInstance {
+/// Outcome of one cooperative poll.
+enum class PollStatus : uint8_t {
+  kWorked,  ///< made progress — resubmit immediately
+  kYield,   ///< no progress, an output lane is at capacity — resubmit
+  kIdle,    ///< nothing to do until a producer or peer wakes it — park
+  kDone,    ///< finished (for this round) — count the unit out
+};
+
+/// One partition of a cooperative polling node (runtime v3): a fused
+/// microstep chain, a barrier-free local-round loop or a pipelined
+/// streaming task. Instead of a dedicated thread blocked on its input, the
+/// unit advances in short Step() calls on the shared engine pool, and
+/// PlanSchedule's one driver acts on the status: resubmit on kWorked and
+/// kYield, park on the unit's engine slot on kIdle, count the unit out on
+/// kDone. A unit returns kIdle only while it has an obligated waker — a
+/// producer that still publishes into its lanes, or a peer that will reach
+/// quiescence or advance the staleness minimum — and the wake-pending
+/// handshake in Engine::Park/Wake closes the race between the emptiness
+/// check inside Step() and the park that follows it. Liveness so needs
+/// only one pool worker.
+class PollUnit {
+ public:
+  explicit PollUnit(int partition) : partition_(partition) {}
+  virtual ~PollUnit() = default;
+  /// The driver's continuations hold the unit's address.
+  PollUnit(const PollUnit&) = delete;
+  PollUnit& operator=(const PollUnit&) = delete;
+
+  virtual PollStatus Step() = 0;
+
+  int partition() const { return partition_; }
+
+ protected:
+  const int partition_;
+};
+
+/// Wakes every partition of `rt`'s loop but `self`. Peers parked on empty
+/// lanes can only learn from `self` that the loop terminated or that the
+/// staleness minimum advanced; units broadcast inside Step(), so every
+/// wake lands before the driver counts the unit out.
+void WakePeers(WorksetRuntime& rt, int self) {
+  for (int p = 0; p < static_cast<int>(rt.parts.size()); ++p) {
+    if (p != self) rt.wake(p);
+  }
+}
+
+/// Microstep unit (§5.2): Step() drains whatever its partition's feedback
+/// exchange holds and runs the fused chain (kWorked). With empty lanes but
+/// records still in flight elsewhere it returns kIdle; a peer publishing
+/// records for this partition (the feedback port's credit hooks) wakes it.
+/// Once the coordinator's credit counter is quiescent the unit emits its
+/// partition's converged solution, wakes its parked peers so they re-check
+/// the credits and finish too, and returns kDone.
+class MicrostepInstance : public PollUnit {
  public:
   MicrostepInstance(ExecContext* ctx, int iteration, int partition,
                     std::vector<const PhysicalTask*> chain_tasks,
                     const PhysicalTask* delta_apply_task)
-      : ctx_(ctx),
+      : PollUnit(partition),
+        ctx_(ctx),
         rt_(*ctx->workset[iteration]),
-        partition_(partition),
         chain_tasks_(std::move(chain_tasks)),
         delta_apply_task_(delta_apply_task),
         route_(MakeFeedbackPort(rt_, partition, &ctx->metrics)) {
     InstallCreditHooks(route_.get(), &rt_, partition_);
   }
 
-  MicroStatus Step() {
+  PollStatus Step() override {
     SuperstepCoordinator* co = rt_.coordinator.get();
     if (!setup_done_) {
       BuildChain();
@@ -1037,18 +1075,16 @@ class MicrostepInstance {
       // visible (and credited).
       route_->Flush();
       co->CreditProcessed(popped);
-      return MicroStatus::kWorked;
+      return PollStatus::kWorked;
     }
     if (co->Quiescent()) {
       EmitResult();
-      return MicroStatus::kDone;
+      WakePeers(rt_, partition_);
+      return PollStatus::kDone;
     }
-    // Empty lanes but records are still in flight on other partitions: ask
-    // the scheduler to park this unit until a peer wakes it.
-    return MicroStatus::kIdle;
+    // Empty lanes but records are still in flight on other partitions.
+    return PollStatus::kIdle;
   }
-
-  int partition() const { return partition_; }
 
  private:
   Exchange* InputOf(const PhysicalTask* task, int port) {
@@ -1205,7 +1241,6 @@ class MicrostepInstance {
 
   ExecContext* ctx_;
   WorksetRuntime& rt_;
-  int partition_;
   std::vector<const PhysicalTask*> chain_tasks_;
   const PhysicalTask* delta_apply_task_;
   std::vector<ChainStep> chain_;
@@ -1219,32 +1254,21 @@ class MicrostepInstance {
 // PipelinedInstance: one partition of a streaming non-loop task (kPipelined)
 // ---------------------------------------------------------------------------
 
-/// Outcome of one cooperative poll of a pipelined unit.
-enum class PipeStatus : uint8_t {
-  kWorked,  ///< consumed input / emitted output — resubmit immediately
-  kYield,   ///< no progress, an output lane is at capacity — resubmit
-  kIdle,    ///< no progress, every open input lane is empty — park
-  kDone,    ///< inputs exhausted, end-of-stream delivered downstream
-};
-
-/// One cooperative polling unit of a pipelined region (ExecutionOptions::
-/// region_mode == kPipelined). Where materialize mode runs a non-loop task
-/// as a single blocking RunOnce after its producer regions completed, a
-/// pipelined unit is scheduled the moment the plan starts and advances in
-/// short Step() calls. Pool workers never block: a unit that cannot
-/// progress returns kYield (outputs backpressured — the engine's
-/// per-client FIFO places the resubmitted retry behind the consumer's
-/// already-queued poll, so the consumer drains first even on one worker)
-/// or kIdle (inputs empty — park; any producer Push into an input lane
-/// fires the exchange's consumer waker). The wake-pending handshake in
-/// Engine::Park/Wake closes the race between the emptiness check inside
-/// Step() and the park that follows it.
-class PipelinedInstance {
+/// Polling unit of a pipelined region (ExecutionOptions::region_mode ==
+/// kPipelined). Where materialize mode runs a non-loop task as a single
+/// blocking RunOnce after its producer regions completed, a pipelined unit
+/// is scheduled the moment the plan starts. A unit that cannot progress
+/// returns kYield (outputs backpressured — the engine's per-client FIFO
+/// places the resubmitted retry behind the consumer's already-queued poll,
+/// so the consumer drains first even on one worker) or kIdle (inputs
+/// empty; any producer Push into an input lane fires the exchange's
+/// consumer waker). kDone: inputs exhausted, end-of-stream delivered.
+class PipelinedInstance : public PollUnit {
  public:
   PipelinedInstance(ExecContext* ctx, const PhysicalTask* task, int partition)
-      : ctx_(ctx),
+      : PollUnit(partition),
+        ctx_(ctx),
         task_(task),
-        partition_(partition),
         outputs_(MakePlanOutputs(ctx, *task, partition)),
         out_ptrs_(RawPorts(outputs_)) {
     if (task_->kind == OperatorKind::kSource) {
@@ -1253,9 +1277,7 @@ class PipelinedInstance {
     }
   }
 
-  int partition() const { return partition_; }
-
-  PipeStatus Step() {
+  PollStatus Step() override {
     // Retry stalled output batches/markers first: while a target lane sits
     // at capacity, consuming more input would only grow the stalled
     // buffers and defeat the flow-control window.
@@ -1277,11 +1299,17 @@ class PipelinedInstance {
         end_sent_ = true;
         ++worked;
       }
-      if (TryDrainOutputs()) return PipeStatus::kDone;
+      if (TryDrainOutputs()) return PollStatus::kDone;
     }
-    if (worked > 0) return PipeStatus::kWorked;
-    if (AnyOutputStalled()) return PipeStatus::kYield;
-    return PipeStatus::kIdle;
+    if (worked > 0) return PollStatus::kWorked;
+    if (AnyOutputStalled()) {
+      static const uint16_t kYield = trace::RegisterName("pipe.yield");
+      trace::Instant(kYield, partition_);
+      return PollStatus::kYield;
+    }
+    static const uint16_t kPark = trace::RegisterName("pipe.park");
+    trace::Instant(kPark, partition_);
+    return PollStatus::kIdle;
   }
 
  private:
@@ -1366,7 +1394,6 @@ class PipelinedInstance {
 
   ExecContext* ctx_;
   const PhysicalTask* task_;
-  int partition_;
   std::vector<std::unique_ptr<OutputPort>> outputs_;
   std::vector<OutputPort*> out_ptrs_;
   const std::vector<Record>* source_data_ = nullptr;
@@ -1859,71 +1886,159 @@ struct LoopUnit {
   Program program;
 };
 
+/// Barrier-free local-round unit (sync_mode != kSuperstep): Step() runs
+/// its partition's whole loop pipeline (head → body → tail, stage order)
+/// as one local round over whatever the lanes currently hold and returns
+/// kWorked. With nothing queued it votes quiescent and returns kIdle, as
+/// it does while bounded staleness holds it back. Whoever observes
+/// quiescence or trips the per-round iteration cap terminates the round
+/// for everyone, wakes every peer and returns kDone; each woken peer then
+/// sees the terminated flag and returns kDone as well.
+class AsyncRoundUnit : public PollUnit {
+ public:
+  AsyncRoundUnit(WorksetRuntime* rt, int partition,
+                 std::vector<LoopUnit*> pipeline)
+      : PollUnit(partition), rt_(*rt), pipeline_(std::move(pipeline)) {}
+
+  PollStatus Step() override {
+    SuperstepCoordinator* co = rt_.coordinator.get();
+    WorksetRuntime::Part& ap = *rt_.parts[partition_];
+    const int p = partition_;
+
+    // A peer ended the round. One exception: a partition that never read
+    // its W_0 share (the cap fired before its first local round) must
+    // still consume it — the records would otherwise be dropped by the
+    // next round's seed Reset instead of continuing as leftover.
+    if (co->terminated() && !ap.w0_pending) return PollStatus::kDone;
+
+    bool has_work = ap.w0_pending || rt_.feedback[p]->HasQueued();
+    for (size_t i = 0; !has_work && i < pipeline_.size(); ++i) {
+      has_work = pipeline_[i]->instance->AnyLoopInputReadable();
+    }
+    if (!has_work) {
+      if (co->Quiescent()) {
+        // Nothing queued anywhere, nobody mid-round: this partition ends
+        // the iteration for everyone (the decide step of the barrier-free
+        // protocol).
+        co->FinishBarrierFree(/*capped=*/false);
+        WakePeers(rt_, p);
+        return PollStatus::kDone;
+      }
+      co->CastQuiescentVote(p);
+      // Idle ≠ behind: bump to the fastest peer so this partition never
+      // holds the staleness minimum down while contributing nothing. If
+      // the bump advanced the minimum, staleness-parked peers must hear
+      // about it — they gate on the minimum we just moved.
+      const bool advanced = co->SyncIdleRound(p);
+      if (advanced && co->staleness_bound() > 0) WakePeers(rt_, p);
+      static const uint16_t kIdlePark = trace::RegisterName("async.idle.park");
+      trace::Instant(kIdlePark, p);
+      return PollStatus::kIdle;
+    }
+
+    if (co->staleness_bound() > 0 &&
+        co->local_round(p) - co->MinLocalRound() >=
+            static_cast<int64_t>(co->staleness_bound())) {
+      // Bounded staleness: too far ahead of the slowest peer — park until
+      // the minimum advances. Liveness: the minimum partition itself can
+      // never take this branch, and every working round in bounded mode
+      // ends in a broadcast wake, so the bound is re-evaluated each time
+      // any peer advances.
+      static const uint16_t kStalePark =
+          trace::RegisterName("async.stale.park");
+      trace::Instant(kStalePark, p);
+      return PollStatus::kIdle;
+    }
+
+    co->BeginWorkRound(p);
+    const bool had_w0 = ap.w0_pending;  // the head consumes W_0 below
+    const int64_t round = co->local_round(p);
+    {
+      static const uint16_t kRound = trace::RegisterName("async.round");
+      trace::Span span(kRound, p);
+      for (LoopUnit* unit : pipeline_) unit->program.body(round);
+    }
+    // Credits of everything this round consumed return only now — after
+    // the round's own children were published (and credited), so
+    // `pending` can never dip to zero while derived work is in flight.
+    // The same rule covers the startup credit: it pins `pending` above
+    // zero for the whole first round, not just until the W_0 read.
+    co->CreditProcessed(ap.popped_this_round);
+    ap.popped_this_round = 0;
+    if (had_w0) co->ReleaseStartupCredit();
+    co->AdvanceLocalRound(p);
+
+    if (co->rounds_executed(p) - rt_.async_round_base[p] >=
+        static_cast<int64_t>(rt_.max_iterations)) {
+      // Per-round iteration cap: stop everyone; queued leftovers keep
+      // their credits and continue in the next service round.
+      co->FinishBarrierFree(/*capped=*/true);
+      WakePeers(rt_, p);
+      return PollStatus::kDone;
+    }
+    if (co->staleness_bound() > 0) WakePeers(rt_, p);
+    return PollStatus::kWorked;
+  }
+
+ private:
+  WorksetRuntime& rt_;
+  /// Views into the node's wave stages, in stage order (same-depth tasks
+  /// are mutually independent).
+  std::vector<LoopUnit*> pipeline_;
+};
+
 /// A schedulable region of the plan. The plan's exchange graph is a DAG —
 /// every feedback edge of an iteration stays inside its loop region (the
 /// bulk feedback buffers, the workset feedback exchanges), never between
 /// regions — so regions can run strictly producers-before-consumers:
-///   kTask  — one non-loop physical task: P one-shot units, runnable once
-///            every producer region completed (its input phases are then
-///            fully delivered, so each unit runs its task's program once
-///            without ever blocking).
-///   kWave  — one superstep iteration: self-scheduling superstep waves
-///            (see ScheduleWave); completes after its final flush.
-///   kMicro — one fused microstep iteration: P cooperative polling units.
-///   kAsync — one barrier-free workset iteration (sync_mode != superstep):
-///            P cooperative per-partition round tasks, each running its
-///            partition's whole loop pipeline over whatever the lanes
-///            currently hold (see RunAsyncRound).
+///   kTask — one non-loop physical task: P one-shot units, runnable once
+///           every producer region completed (its input phases are then
+///           fully delivered, so each unit runs its task's program once
+///           without ever blocking).
+///   kWave — one superstep iteration: self-scheduling superstep waves
+///           (see ScheduleWave); completes after its final flush.
+///   kPoll — P cooperative PollUnits under one driver (RunPoll): a fused
+///           microstep iteration, a barrier-free workset iteration
+///           (sync_mode != superstep; its units run once per round), or a
+///           streaming non-loop task under region_mode kPipelined. A
+///           pipelined node registers no region predecessors: its units
+///           start at Start() and park until data arrives.
 struct SchedNode {
-  enum class Kind { kTask, kWave, kMicro, kAsync };
+  enum class Kind { kTask, kWave, kPoll };
   Kind kind = Kind::kTask;
-  int task_id = -1;    ///< kTask
-  /// kTask under region_mode kPipelined, streaming operator: the node runs
-  /// as P cooperative polling units (PipelinedInstance) scheduled at
-  /// Start() — it has no region predecessors, only successors.
-  bool pipelined = false;
+  int task_id = -1;    ///< kTask, pipelined kPoll
   bool is_bulk = false;
   int iteration = -1;  ///< index into ctx.bulk / ctx.workset
   std::vector<int> dependents;
   std::atomic<int> pending_deps{0};
-  // kTask:
+  /// kTask, kPoll: units still running (in the current round).
   std::atomic<int> units_remaining{0};
-  // kWave:
+  /// kWave, barrier-free kPoll (null for microsteps).
   SuperstepCoordinator* coordinator = nullptr;
   /// Wave stages: the loop units grouped by in-loop dataflow depth. Stage
   /// k+1 is enqueued once stage k fully finished, so every in-loop
-  /// ReadPhase finds its producers' superstep phase already delivered.
+  /// ReadPhase finds its producers' superstep phase already delivered. A
+  /// barrier-free node's units run the same stages as local rounds, and
+  /// its final flush and shutdown run off them unchanged.
   std::vector<std::vector<LoopUnit>> stages;
   std::vector<std::unique_ptr<std::atomic<int>>> stage_remaining;
-  /// Resident session iteration: a terminated wave hands the round
-  /// boundary to the session controller instead of final-flushing; the
-  /// node only completes when Finish schedules the flush.
+  /// Resident session iteration: a terminated wave (or barrier-free round)
+  /// hands the round boundary to the session controller instead of
+  /// final-flushing; the node only completes when Finish schedules the
+  /// flush.
   bool session_resident = false;
   /// Flight-recorder stash: the wave's start time, written by ScheduleWave
   /// and read by the wave-closing arrival in OnLoopUnitDone (ordered by the
   /// arrival gate).
   int64_t wave_start_ns = 0;
   std::atomic<int> flush_remaining{0};
-  // kMicro:
-  std::vector<std::unique_ptr<MicrostepInstance>> micro_units;
-  std::atomic<int> micro_remaining{0};
-  /// One engine park slot per micro unit (indexed by partition): idle units
-  /// park there instead of busy re-polling; destroyed in NodeComplete.
-  /// kAsync reuses both — micro_remaining counts its per-round unit
-  /// countdown, micro_park_slots holds its per-partition idle/staleness
-  /// park slots.
-  std::vector<uint64_t> micro_park_slots;
-  // kAsync: partition p's loop units in stage order (views into `stages`,
-  // which BuildWave still populates — ScheduleFinalFlush and the shutdown
-  // path run unchanged off the stages).
-  std::vector<std::vector<LoopUnit*>> async_pipeline;
-  // pipelined kTask: the P polling units and their park slots. The slots
-  // outlive NodeComplete (unlike micro_park_slots) because a producer can
-  // still be inside Push→waker while this consumer node completes; they
-  // are destroyed in ~PlanSchedule, after WaitPlanDone proved no task is
-  // running. micro_remaining doubles as the unit countdown.
-  std::vector<std::unique_ptr<PipelinedInstance>> pipe_units;
-  std::vector<uint64_t> pipe_park_slots;
+  /// kPoll: one unit and one engine park slot per partition. The slots
+  /// live as long as the schedule: a producer can still be inside
+  /// Push→waker while its consumer node completes, and a resident
+  /// barrier-free loop never completes before a Reconfigure tears the
+  /// schedule down. ~PlanSchedule frees them once no task runs.
+  std::vector<std::unique_ptr<PollUnit>> units;
+  std::vector<uint64_t> park_slots;
 };
 
 class PlanSchedule {
@@ -1937,18 +2052,23 @@ class PlanSchedule {
     client_ = engine_->RegisterClient(std::move(client_name));
     BuildInstances();
     BuildNodes();
-    BuildPipelined();
+    // Pipelined nodes are built strictly before Start() submits anything:
+    // their consumer wakers are read by producer Pushes from then on, and
+    // the engine submit is the publish between the two.
+    for (auto& node : nodes_) {
+      if (node->kind == SchedNode::Kind::kPoll && node->task_id >= 0) {
+        BuildPollUnits(node.get());
+      }
+    }
   }
 
-  /// The owner destroys the schedule only after WaitPlanDone (or, for an
-  /// abandoned session, after Finish ran) — the client queue is drained,
-  /// so the pipelined park slots (kept alive past NodeComplete, see
-  /// SchedNode) can be freed here.
+  /// The owner destroys the schedule only after WaitPlanDone, a session's
+  /// Finish, or Reconfigure's WaitQuiesced — no task runs and the client
+  /// queue is drained, so every poll node's park slots (kept for the
+  /// schedule's whole life, see SchedNode) can be freed here.
   ~PlanSchedule() {
     for (auto& node : nodes_) {
-      for (uint64_t slot : node->pipe_park_slots) {
-        engine_->DestroyParkSlot(slot);
-      }
+      for (uint64_t slot : node->park_slots) engine_->DestroyParkSlot(slot);
     }
     engine_->UnregisterClient(client_);
   }
@@ -2018,12 +2138,10 @@ class PlanSchedule {
       SFDF_CHECK(!round_running_) << "BeginRound while a round is in flight";
       round_running_ = true;
     }
-    if (node->kind == SchedNode::Kind::kAsync) {
+    if (node->kind == SchedNode::Kind::kPoll) {
       // Barrier-free warm round: every partition restarts its local-round
       // loop from the reseeded W_0.
-      const int P = ctx_->parallelism;
-      node->micro_remaining.store(P, std::memory_order_relaxed);
-      for (int p = 0; p < P; ++p) SubmitAsyncRound(node, p);
+      SubmitPollUnits(node);
       return;
     }
     ScheduleWave(node);
@@ -2050,7 +2168,7 @@ class PlanSchedule {
       }
       if (ctx_->region_mode == RegionMode::kPipelined &&
           IsPipelinedTask(task)) {
-        continue;  // runs as PipelinedInstance units (BuildPipelined)
+        continue;  // runs as PipelinedInstance units (BuildPollUnits)
       }
       for (int p = 0; p < P; ++p) {
         instances_[static_cast<size_t>(task.id) * P + p] =
@@ -2076,10 +2194,9 @@ class PlanSchedule {
     }
     for (size_t i = 0; i < plan_->workset_iterations.size(); ++i) {
       const bool micro = plan_->workset_iterations[i].microstep;
-      const bool async = !micro && ctx_->workset[i]->barrier_free;
-      int id = add_node(micro   ? SchedNode::Kind::kMicro
-                        : async ? SchedNode::Kind::kAsync
-                                : SchedNode::Kind::kWave);
+      int id = add_node(micro || ctx_->workset[i]->barrier_free
+                            ? SchedNode::Kind::kPoll
+                            : SchedNode::Kind::kWave);
       nodes_[id]->iteration = static_cast<int>(i);
       if (!micro) nodes_[id]->coordinator = ctx_->workset[i]->coordinator.get();
       ws_node[i] = id;
@@ -2091,10 +2208,11 @@ class PlanSchedule {
                                      ? bulk_node[task.bulk_iteration]
                                      : ws_node[task.workset_iteration];
       } else {
-        int id = add_node(SchedNode::Kind::kTask);
+        const bool pipelined = ctx_->region_mode == RegionMode::kPipelined &&
+                               IsPipelinedTask(task);
+        int id = add_node(pipelined ? SchedNode::Kind::kPoll
+                                    : SchedNode::Kind::kTask);
         nodes_[id]->task_id = task.id;
-        nodes_[id]->pipelined = ctx_->region_mode == RegionMode::kPipelined &&
-                                IsPipelinedTask(task);
         node_of_task_[task.id] = id;
       }
     }
@@ -2105,10 +2223,12 @@ class PlanSchedule {
     // downstream of it waits for its completion as before.
     std::vector<std::set<int>> preds(nodes_.size());
     for (const PhysicalTask& task : plan_->tasks) {
+      const int b = node_of_task_[task.id];
+      const bool pipelined =
+          !IsLoopTask(task) && nodes_[b]->kind == SchedNode::Kind::kPoll;
       for (const PhysicalInput& input : task.inputs) {
-        int a = node_of_task_[input.producer];
-        int b = node_of_task_[task.id];
-        if (a != b && !nodes_[b]->pipelined) preds[b].insert(a);
+        const int a = node_of_task_[input.producer];
+        if (a != b && !pipelined) preds[b].insert(a);
       }
     }
     for (size_t b = 0; b < nodes_.size(); ++b) {
@@ -2144,32 +2264,91 @@ class PlanSchedule {
     }
   }
 
-  /// Builds the polling units, park slots and wake wiring of every
-  /// pipelined node. Runs in the constructor, strictly before Start()
-  /// submits anything: the consumer wakers installed here are read by
-  /// producer Pushes, and the engine submit is the publish between the two.
-  void BuildPipelined() {
+  /// Builds a poll node's units, park slots and wake wiring. A loop node is
+  /// built when it is first scheduled, on the pool worker that schedules
+  /// it, as a wave builds its stages: building its task programs on the
+  /// controller thread instead made cc-webbase-async jobs about 6% slower
+  /// (4-vCPU Xeon, 10 alternating runs).
+  void BuildPollUnits(SchedNode* node) {
     const int P = ctx_->parallelism;
-    for (auto& node_ptr : nodes_) {
-      SchedNode* node = node_ptr.get();
-      if (node->kind != SchedNode::Kind::kTask || !node->pipelined) continue;
+    for (int p = 0; p < P; ++p) {
+      node->park_slots.push_back(engine_->CreateParkSlot(client_));
+    }
+    if (node->task_id >= 0) {
+      // Pipelined task, wake-on-publish: every Push into any input lane of
+      // partition p's exchanges wakes unit p if parked (Exchange::Push
+      // invokes the waker after the envelope is visible).
       const PhysicalTask& task = plan_->tasks[node->task_id];
       for (int p = 0; p < P; ++p) {
-        node->pipe_units.push_back(
+        node->units.push_back(
             std::make_unique<PipelinedInstance>(ctx_, &task, p));
-        node->pipe_park_slots.push_back(engine_->CreateParkSlot(client_));
-      }
-      // Wake-on-publish: every Push into any input lane of partition p's
-      // exchanges wakes its unit if parked (Exchange::Push invokes the
-      // waker after the envelope is visible, and the park/wake handshake
-      // absorbs wakes that land while the unit is running).
-      for (size_t port = 0; port < task.inputs.size(); ++port) {
-        for (int p = 0; p < P; ++p) {
-          const uint64_t slot = node->pipe_park_slots[p];
+        const uint64_t slot = node->park_slots[p];
+        for (size_t port = 0; port < task.inputs.size(); ++port) {
           ctx_->channels[task.id][port][p]->set_consumer_waker(
               [this, slot] { engine_->Wake(slot); });
         }
       }
+      return;
+    }
+    // Workset iteration: the feedback ports' credit hooks and WakePeers
+    // wake a partition through its loop runtime.
+    ctx_->workset[node->iteration]->wake = [this, node](int target) {
+      engine_->Wake(node->park_slots[static_cast<size_t>(target)]);
+    };
+    if (node->coordinator == nullptr) {
+      BuildMicroUnits(node);
+    } else {
+      BuildAsyncUnits(node);
+    }
+  }
+
+  void BuildMicroUnits(SchedNode* node) {
+    const PhysicalWorksetIteration& spec =
+        plan_->workset_iterations[node->iteration];
+    // Chain = the dynamic body tasks in dataflow order, starting from the
+    // head's unique consumer.
+    std::vector<const PhysicalTask*> chain;
+    int cursor = -1;
+    for (const auto& [consumer, port] : ctx_->consumer_edges[spec.head_task]) {
+      (void)port;
+      if (ctx_->task(consumer).role != TaskRole::kWorksetTail) {
+        cursor = consumer;
+      }
+    }
+    while (cursor >= 0) {
+      const PhysicalTask& task = ctx_->task(cursor);
+      chain.push_back(&task);
+      int next = -1;
+      for (const auto& [consumer, port] : ctx_->consumer_edges[cursor]) {
+        (void)port;
+        const PhysicalTask& c = ctx_->task(consumer);
+        if (c.role == TaskRole::kRegular && IsLoopTask(c)) next = consumer;
+        if (c.role == TaskRole::kSolutionJoin) next = consumer;
+      }
+      cursor = next;
+    }
+    const PhysicalTask* delta_apply = &ctx_->task(spec.delta_apply_task);
+    for (int p = 0; p < ctx_->parallelism; ++p) {
+      node->units.push_back(std::make_unique<MicrostepInstance>(
+          ctx_, node->iteration, p, chain, delta_apply));
+    }
+  }
+
+  void BuildAsyncUnits(SchedNode* node) {
+    BuildWave(node);
+    WorksetRuntime* rt = ctx_->workset[node->iteration].get();
+    // Stages outer, partitions inner: each partition's pipeline stays in
+    // stage order.
+    std::vector<std::vector<LoopUnit*>> pipelines(ctx_->parallelism);
+    for (auto& stage : node->stages) {
+      for (LoopUnit& unit : stage) {
+        pipelines[unit.instance->partition()].push_back(&unit);
+        unit.instance->InstallAsyncHooks();
+      }
+    }
+    for (int p = 0; p < ctx_->parallelism; ++p) {
+      node->units.push_back(
+          std::make_unique<AsyncRoundUnit>(rt, p, std::move(pipelines[p])));
     }
   }
 
@@ -2178,13 +2357,6 @@ class PlanSchedule {
     const int P = ctx_->parallelism;
     switch (node->kind) {
       case SchedNode::Kind::kTask: {
-        if (node->pipelined) {
-          node->micro_remaining.store(P, std::memory_order_relaxed);
-          for (auto& unit : node->pipe_units) {
-            SubmitPipeStep(node, unit.get());
-          }
-          break;
-        }
         node->units_remaining.store(P, std::memory_order_relaxed);
         for (int p = 0; p < P; ++p) {
           TaskInstance* inst = instance(node->task_id, p);
@@ -2202,21 +2374,10 @@ class PlanSchedule {
         BuildWave(node);
         ScheduleWave(node);
         break;
-      case SchedNode::Kind::kMicro: {
-        BuildMicro(node);
-        node->micro_remaining.store(P, std::memory_order_relaxed);
-        for (auto& unit : node->micro_units) {
-          SubmitMicroStep(node, unit.get());
-        }
+      case SchedNode::Kind::kPoll:
+        if (node->task_id < 0) BuildPollUnits(node);  // loop node
+        SubmitPollUnits(node);
         break;
-      }
-      case SchedNode::Kind::kAsync: {
-        BuildWave(node);  // stages (final flush / shutdown reuse them)
-        BuildAsyncPipelines(node);
-        node->micro_remaining.store(P, std::memory_order_relaxed);
-        for (int p = 0; p < P; ++p) SubmitAsyncRound(node, p);
-        break;
-      }
     }
   }
 
@@ -2353,274 +2514,57 @@ class PlanSchedule {
     }
   }
 
-  void BuildMicro(SchedNode* node) {
-    const PhysicalWorksetIteration& spec =
-        plan_->workset_iterations[node->iteration];
-    // Chain = the dynamic body tasks in dataflow order, starting from the
-    // head's unique consumer.
-    std::vector<const PhysicalTask*> chain;
-    int cursor = -1;
-    for (const auto& [consumer, port] : ctx_->consumer_edges[spec.head_task]) {
-      (void)port;
-      if (ctx_->task(consumer).role != TaskRole::kWorksetTail) {
-        cursor = consumer;
-      }
-    }
-    while (cursor >= 0) {
-      const PhysicalTask& task = ctx_->task(cursor);
-      chain.push_back(&task);
-      int next = -1;
-      for (const auto& [consumer, port] : ctx_->consumer_edges[cursor]) {
-        (void)port;
-        const PhysicalTask& c = ctx_->task(consumer);
-        if (c.role == TaskRole::kRegular && IsLoopTask(c)) next = consumer;
-        if (c.role == TaskRole::kSolutionJoin) next = consumer;
-      }
-      cursor = next;
-    }
-    const PhysicalTask* delta_apply = &ctx_->task(spec.delta_apply_task);
-    for (int p = 0; p < ctx_->parallelism; ++p) {
-      node->micro_units.push_back(std::make_unique<MicrostepInstance>(
-          ctx_, node->iteration, p, chain, delta_apply));
-      node->micro_park_slots.push_back(engine_->CreateParkSlot(client_));
-    }
-    ctx_->workset[node->iteration]->wake = [this, node](int target) {
-      engine_->Wake(node->micro_park_slots[static_cast<size_t>(target)]);
-    };
-  }
-
-  void SubmitMicroStep(SchedNode* node, MicrostepInstance* unit) {
-    engine_->Submit(client_, [this, node, unit] { RunMicroStep(node, unit); });
-  }
-
-  void RunMicroStep(SchedNode* node, MicrostepInstance* unit) {
-    switch (unit->Step()) {
-      case MicroStatus::kWorked:
-        SubmitMicroStep(node, unit);  // cooperative re-enqueue
-        return;
-      case MicroStatus::kIdle:
-        // Nothing queued for this partition: park until a peer stages
-        // records for it or broadcasts quiescence. A wake that raced this
-        // decision is pending inside the slot and re-enqueues immediately.
-        engine_->Park(node->micro_park_slots[unit->partition()],
-                      [this, node, unit] { RunMicroStep(node, unit); });
-        return;
-      case MicroStatus::kDone:
-        // This unit observed global quiescence; peers may be parked on
-        // empty queues and can only learn it from us. Broadcast before the
-        // arrival decrement so every slot is still alive (NodeComplete —
-        // which frees them — needs all units, including this one, done).
-        for (size_t p = 0; p < node->micro_park_slots.size(); ++p) {
-          if (static_cast<int>(p) != unit->partition()) {
-            engine_->Wake(node->micro_park_slots[p]);
-          }
-        }
-        if (node->micro_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-          NodeComplete(node);
-        }
-        return;
-    }
-  }
-
-  // --- pipelined region (kTask, pipelined) scheduling ----------------------
-
-  void SubmitPipeStep(SchedNode* node, PipelinedInstance* unit) {
-    engine_->Submit(client_, [this, node, unit] { RunPipeStep(node, unit); });
-  }
-
-  void RunPipeStep(SchedNode* node, PipelinedInstance* unit) {
-    switch (unit->Step()) {
-      case PipeStatus::kWorked:
-        SubmitPipeStep(node, unit);  // cooperative re-enqueue
-        return;
-      case PipeStatus::kYield:
-        // Backpressured: the outputs are stalled and there is nothing else
-        // to do. Re-enqueue rather than park — the per-client FIFO places
-        // this retry behind the consumer's already-queued poll, so the
-        // consumer gets a worker first and opens the window again.
-        ctx_->metrics.CountProducerYield(1);
-        {
-          static const uint16_t kYield = trace::RegisterName("pipe.yield");
-          trace::Instant(kYield, unit->partition());
-        }
-        SubmitPipeStep(node, unit);
-        return;
-      case PipeStatus::kIdle:
-        // Every open input lane is empty: park until a producer publishes
-        // (Exchange::Push fires this node's consumer waker). A wake that
-        // raced this decision is pending inside the slot and re-enqueues
-        // immediately.
-        {
-          static const uint16_t kPipePark = trace::RegisterName("pipe.park");
-          trace::Instant(kPipePark, unit->partition());
-        }
-        engine_->Park(node->pipe_park_slots[unit->partition()],
-                      [this, node, unit] { RunPipeStep(node, unit); });
-        return;
-      case PipeStatus::kDone:
-        if (node->micro_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-          NodeComplete(node);
-        }
-        return;
-    }
-  }
-
-  // --- barrier-free (kAsync) scheduling ------------------------------------
+  // --- the poll driver (kPoll) ---------------------------------------------
   //
-  // One cooperative task per partition runs that partition's whole loop
-  // pipeline (head → body → tail, stage order) as one "local round" over
-  // whatever the lanes currently hold, then re-enqueues itself; with
-  // nothing queued it votes quiescent and parks on its slot. Exactly one
-  // continuation per partition is ever pending (self-resubmit, park, or
-  // nothing after FinishAsyncUnit), so each unit finishes at most once per
-  // round. Termination reuses the microstep kDone broadcast: whoever
-  // observes quiescence (or trips the per-round iteration cap) sets the
-  // coordinator's terminated flag, wakes every peer, and each unit counts
-  // itself out through micro_remaining.
+  // Exactly one continuation per unit is ever pending — a resubmit, a park,
+  // or nothing after kDone — so each unit finishes at most once per round.
 
-  void BuildAsyncPipelines(SchedNode* node) {
-    const int P = ctx_->parallelism;
-    WorksetRuntime& rt = *ctx_->workset[node->iteration];
-    node->async_pipeline.assign(static_cast<size_t>(P), {});
-    // stages outer, partitions inner: each partition's list stays in stage
-    // order (same-depth tasks are mutually independent).
-    for (auto& stage : node->stages) {
-      for (LoopUnit& unit : stage) {
-        node->async_pipeline[unit.instance->partition()].push_back(&unit);
-      }
-    }
-    for (int p = 0; p < P; ++p) {
-      node->micro_park_slots.push_back(engine_->CreateParkSlot(client_));
-    }
-    rt.wake = [this, node](int target) {
-      engine_->Wake(node->micro_park_slots[static_cast<size_t>(target)]);
-    };
-    for (auto& stage : node->stages) {
-      for (LoopUnit& unit : stage) unit.instance->InstallAsyncHooks();
-    }
+  /// Starts every unit of a poll node (again, for a barrier-free
+  /// iteration's warm round).
+  void SubmitPollUnits(SchedNode* node) {
+    node->units_remaining.store(static_cast<int>(node->units.size()),
+                                std::memory_order_relaxed);
+    for (auto& unit : node->units) SubmitPoll(node, unit.get());
   }
 
-  void SubmitAsyncRound(SchedNode* node, int p) {
-    engine_->Submit(client_, [this, node, p] { RunAsyncRound(node, p); });
+  void SubmitPoll(SchedNode* node, PollUnit* unit) {
+    engine_->Submit(client_, [this, node, unit] { RunPoll(node, unit); });
   }
 
-  void BroadcastAsyncWake(SchedNode* node, int self) {
-    // Same liveness rule as the microstep kDone broadcast: peers may be
-    // parked on empty lanes and can only learn about termination — or an
-    // advanced staleness minimum — from us. Runs before this unit's own
-    // countdown decrement, so every slot is still alive.
-    for (size_t p = 0; p < node->micro_park_slots.size(); ++p) {
-      if (static_cast<int>(p) != self) {
-        engine_->Wake(node->micro_park_slots[p]);
-      }
-    }
-  }
-
-  void RunAsyncRound(SchedNode* node, int p) {
-    WorksetRuntime& rt = *ctx_->workset[node->iteration];
-    SuperstepCoordinator* co = rt.coordinator.get();
-    WorksetRuntime::Part& ap = *rt.parts[p];
-
-    // A peer ended the round. One exception: a partition that never read
-    // its W_0 share (the cap fired before its first local round) must
-    // still consume it — the records would otherwise be dropped by the
-    // next round's seed Reset instead of continuing as leftover.
-    if (co->terminated() && !ap.w0_pending) {
-      FinishAsyncUnit(node, p);
-      return;
-    }
-
-    bool has_work = ap.w0_pending || rt.feedback[p]->HasQueued();
-    if (!has_work) {
-      for (LoopUnit* unit : node->async_pipeline[p]) {
-        if (unit->instance->AnyLoopInputReadable()) {
-          has_work = true;
-          break;
-        }
-      }
-    }
-    if (!has_work) {
-      if (co->Quiescent()) {
-        // Nothing queued anywhere, nobody mid-round: this partition ends
-        // the iteration for everyone (the decide step of the barrier-free
-        // protocol).
-        co->FinishBarrierFree(/*capped=*/false);
-        BroadcastAsyncWake(node, p);
-        FinishAsyncUnit(node, p);
+  void RunPoll(SchedNode* node, PollUnit* unit) {
+    switch (unit->Step()) {
+      case PollStatus::kWorked:
+        SubmitPoll(node, unit);  // cooperative re-enqueue
         return;
-      }
-      co->CastQuiescentVote(p);
-      // Idle ≠ behind: bump to the fastest peer so this partition never
-      // holds the staleness minimum down while contributing nothing. If
-      // the bump advanced the minimum, staleness-parked peers must hear
-      // about it — they gate on the minimum we just moved.
-      const bool advanced = co->SyncIdleRound(p);
-      if (advanced && co->staleness_bound() > 0) BroadcastAsyncWake(node, p);
-      static const uint16_t kIdlePark = trace::RegisterName("async.idle.park");
-      trace::Instant(kIdlePark, p);
-      engine_->Park(node->micro_park_slots[static_cast<size_t>(p)],
-                    [this, node, p] { RunAsyncRound(node, p); });
-      return;
+      case PollStatus::kYield:
+        // Backpressured: re-enqueue rather than park — the per-client FIFO
+        // places this retry behind the consumer's already-queued poll.
+        ctx_->metrics.CountProducerYield(1);
+        SubmitPoll(node, unit);
+        return;
+      case PollStatus::kIdle:
+        // A wake that raced this decision is pending inside the slot and
+        // re-enqueues immediately.
+        engine_->Park(node->park_slots[unit->partition()],
+                      [this, node, unit] { RunPoll(node, unit); });
+        return;
+      case PollStatus::kDone:
+        if (node->units_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
+            1) {
+          OnPollUnitsDone(node);
+        }
+        return;
     }
-
-    if (co->staleness_bound() > 0 &&
-        co->local_round(p) - co->MinLocalRound() >=
-            static_cast<int64_t>(co->staleness_bound())) {
-      // Bounded staleness: too far ahead of the slowest peer — park until
-      // the minimum advances. Liveness: the minimum partition itself can
-      // never take this branch, and every working round in bounded mode
-      // ends in a broadcast wake, so the bound is re-evaluated each time
-      // any peer advances.
-      static const uint16_t kStalePark =
-          trace::RegisterName("async.stale.park");
-      trace::Instant(kStalePark, p);
-      engine_->Park(node->micro_park_slots[static_cast<size_t>(p)],
-                    [this, node, p] { RunAsyncRound(node, p); });
-      return;
-    }
-
-    co->BeginWorkRound(p);
-    const bool had_w0 = ap.w0_pending;  // the head consumes W_0 below
-    const int64_t round = co->local_round(p);
-    {
-      static const uint16_t kRound = trace::RegisterName("async.round");
-      trace::Span span(kRound, p);
-      for (LoopUnit* unit : node->async_pipeline[p]) {
-        unit->program.body(round);
-      }
-    }
-    // Credits of everything this round consumed return only now — after
-    // the round's own children were published (and credited), so
-    // `pending` can never dip to zero while derived work is in flight.
-    // The same rule covers the startup credit: it pins `pending` above
-    // zero for the whole first round, not just until the W_0 read.
-    co->CreditProcessed(ap.popped_this_round);
-    ap.popped_this_round = 0;
-    if (had_w0) co->ReleaseStartupCredit();
-    co->AdvanceLocalRound(p);
-
-    if (co->rounds_executed(p) - rt.async_round_base[p] >=
-        static_cast<int64_t>(rt.max_iterations)) {
-      // Per-round iteration cap: stop everyone; queued leftovers keep
-      // their credits and continue in the next service round.
-      co->FinishBarrierFree(/*capped=*/true);
-      BroadcastAsyncWake(node, p);
-      FinishAsyncUnit(node, p);
-      return;
-    }
-    if (co->staleness_bound() > 0) BroadcastAsyncWake(node, p);
-    SubmitAsyncRound(node, p);
   }
 
-  void FinishAsyncUnit(SchedNode* node, int p) {
-    (void)p;
-    if (node->micro_remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+  /// Runs in the poll node's last unit out (every peer's writes are ordered
+  /// before it by the acq_rel countdown).
+  void OnPollUnitsDone(SchedNode* node) {
+    if (node->coordinator == nullptr) {
+      NodeComplete(node);  // microstep iteration or pipelined task
       return;
     }
-    // Last unit out fills the round report (every peer's writes are
-    // ordered before this point by the acq_rel countdown).
+    // Barrier-free iteration: the round ended; fill its report.
     WorksetRuntime& rt = *ctx_->workset[node->iteration];
     SuperstepCoordinator* co = rt.coordinator.get();
     rt.report.ran_async = true;
@@ -2638,10 +2582,6 @@ class PlanSchedule {
   }
 
   void NodeComplete(SchedNode* node) {
-    for (uint64_t slot : node->micro_park_slots) {
-      engine_->DestroyParkSlot(slot);
-    }
-    node->micro_park_slots.clear();
     for (int dep : node->dependents) {
       SchedNode* d = nodes_[dep].get();
       if (d->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {

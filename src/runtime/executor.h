@@ -179,10 +179,10 @@ struct ExecutionResult {
   int64_t engine_queue_wait_ns_total = 0;
   int64_t engine_queue_wait_ns_max = 0;
   int engine_workers = 0;
-  /// Parked-task accounting: how often cooperative tasks (the fused
-  /// microstep units) handed their continuation to an engine park slot
-  /// instead of busy re-polling, and how many of those were re-enqueued by
-  /// a peer's wake. parks == wakes at the end of a clean run.
+  /// Parked-task accounting: how often cooperative PollUnits (microstep,
+  /// barrier-free and pipelined units) handed their continuation to an
+  /// engine park slot instead of busy re-polling, and how many of those
+  /// were re-enqueued by a wake. parks == wakes at the end of a clean run.
   int64_t engine_parks = 0;
   int64_t engine_wakes = 0;
   /// Pipelined-region observability (zero under kMaterialize): how often a

@@ -154,6 +154,110 @@ TEST(AsyncModeTest, AsyncIterationCapReportsNotConverged) {
   EXPECT_EQ(result->workset_reports[0].iterations, 5);
 }
 
+// --- mode matrix on a one-worker pool ---------------------------------------
+
+struct PathCc {
+  PhysicalPlan physical;
+  std::vector<Record> labels;
+};
+
+/// Min-label CC over the path 0–1–2–3: Sources feed the loop, a Sink reads
+/// its converged solution, so a pipelined run streams both ends.
+std::unique_ptr<PathCc> BuildPathCc(IterationMode mode) {
+  auto built = std::make_unique<PathCc>();
+  std::vector<Record> vertices;
+  std::vector<Record> workset0;
+  std::vector<Record> edges;
+  for (int64_t v = 0; v < 4; ++v) vertices.push_back(Record::OfInts(v, v));
+  for (int64_t u = 0; u < 3; ++u) {
+    edges.push_back(Record::OfInts(u, u + 1));
+    edges.push_back(Record::OfInts(u + 1, u));
+    workset0.push_back(Record::OfInts(u + 1, u));
+    workset0.push_back(Record::OfInts(u, u + 1));
+  }
+  PlanBuilder pb;
+  auto v_src = pb.Source("V", std::move(vertices));
+  auto w_src = pb.Source("W0", std::move(workset0));
+  auto e_src = pb.Source("N", std::move(edges));
+  auto it = pb.BeginWorksetIteration("cc", v_src, w_src, {0},
+                                     OrderByIntFieldDesc(1), mode, 1000);
+  auto delta = pb.Match("update", it.Workset(), it.SolutionSet(), {0}, {0},
+                        [](const Record& cand, const Record& cur,
+                           Collector* c) {
+                          if (cand.GetInt(1) < cur.GetInt(1)) c->Emit(cand);
+                        });
+  pb.DeclarePreserved(delta, 1, 0, 0);
+  auto next = pb.Match("neighbors", delta, e_src, {0}, {0},
+                       [](const Record& changed, const Record& edge,
+                          Collector* c) {
+                         c->Emit(Record::OfInts(edge.GetInt(1),
+                                                changed.GetInt(1)));
+                       });
+  pb.DeclarePreserved(next, 1, 1, 0);
+  pb.Sink("labels", it.Close(delta, next), &built->labels);
+  Plan plan = std::move(pb).Finish();
+  Optimizer optimizer(OptimizerOptions{});
+  auto physical = optimizer.Optimize(plan);
+  EXPECT_TRUE(physical.ok()) << physical.status().ToString();
+  if (physical.ok()) built->physical = std::move(*physical);
+  return built;
+}
+
+/// Runs one matrix cell on a single engine worker, so every poll unit that
+/// parks depends on a peer's or producer's wake to run again. Checks exact
+/// labels and that every park was matched by a wake.
+void ExpectPathCcCell(IterationMode mode, SyncMode sync, RegionMode region,
+                      int parallelism) {
+  auto built = BuildPathCc(mode);
+  ExecutionOptions options;
+  options.parallelism = parallelism;
+  options.worker_threads = 1;
+  options.sync_mode = sync;
+  options.staleness_bound = 1;
+  options.region_mode = region;
+  options.pipeline_lane_capacity = 1;
+  Executor executor(options);
+  auto result = executor.Run(built->physical);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const IterationReport& report = result->workset_reports[0];
+  EXPECT_TRUE(report.converged);
+  EXPECT_EQ(report.ran_microsteps, mode == IterationMode::kMicrostep);
+  EXPECT_EQ(report.ran_async, sync != SyncMode::kSuperstep);
+  std::vector<int64_t> labels(4, -1);
+  for (const Record& rec : built->labels) {
+    labels.at(static_cast<size_t>(rec.GetInt(0))) = rec.GetInt(1);
+  }
+  EXPECT_EQ(labels, (std::vector<int64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(result->engine_parks, result->engine_wakes);
+}
+
+TEST(AsyncModeTest, ModeMatrixOnOneWorkerReachesExactLabels) {
+  for (SyncMode sync :
+       {SyncMode::kSuperstep, SyncMode::kAsync, SyncMode::kBoundedStale}) {
+    for (RegionMode region :
+         {RegionMode::kMaterialize, RegionMode::kPipelined}) {
+      for (int parallelism : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "sync=" << static_cast<int>(sync) << " region="
+                     << static_cast<int>(region) << " P=" << parallelism);
+        ExpectPathCcCell(IterationMode::kSuperstep, sync, region, parallelism);
+      }
+    }
+  }
+}
+
+TEST(AsyncModeTest, MicrostepMatrixOnOneWorkerReachesExactLabels) {
+  for (RegionMode region :
+       {RegionMode::kMaterialize, RegionMode::kPipelined}) {
+    for (int parallelism : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "region=" << static_cast<int>(region)
+                                      << " P=" << parallelism);
+      ExpectPathCcCell(IterationMode::kMicrostep, SyncMode::kSuperstep, region,
+                       parallelism);
+    }
+  }
+}
+
 // --- validation gate ------------------------------------------------------
 
 TEST(AsyncModeTest, RejectsBoundedStaleWithNonPositiveWindow) {

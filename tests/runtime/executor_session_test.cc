@@ -194,6 +194,37 @@ TEST(ExecutorSessionTest, ReconfigureAfterCapTruncatedRoundKeepsLeftover) {
   ASSERT_TRUE((*session)->Finish().ok());
 }
 
+TEST(ExecutorSessionTest, AsyncSessionReconfiguresBetweenWarmRounds) {
+  // A barrier-free resident loop ends every round with its poll units
+  // counted out but its park slots alive. Reconfigure tears the schedule
+  // down at that boundary; the slots must go with it.
+  auto built = BuildTwoComponentPlan();
+  ExecutionOptions options{.parallelism = 4};
+  options.sync_mode = SyncMode::kAsync;
+  Executor executor(options);
+  auto session = executor.StartSession(built->physical);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_TRUE((*session)->initial_report().converged);
+
+  auto round = (*session)->RunRound(
+      {Record::OfInts(1, 2), Record::OfInts(2, 0)});
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_TRUE(round->converged);
+
+  auto resumed = (*session)->Reconfigure(2);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ((*session)->parallelism(), 2);
+
+  round = (*session)->RunRound({Record::OfInts(3, 9)});
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(SolutionLabels(**session),
+            (std::map<int64_t, int64_t>{{0, 0}, {1, 0}, {2, 0}, {3, 0}}));
+
+  auto exec = (*session)->Finish();
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  EXPECT_EQ(exec->engine_parks, exec->engine_wakes);
+}
+
 TEST(ExecutorSessionTest, ReconfigureWaitsOutASlowBranchBesideTheLoop) {
   // A one-shot branch beside the resident loop is still running when the
   // cold round ends. Reconfigure's quiesce must wake when that branch
