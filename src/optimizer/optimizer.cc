@@ -119,6 +119,30 @@ PhysProps RemapProps(const PhysProps& in, const LogicalNode& node, int input) {
   return out;
 }
 
+/// Output properties of a two-input operator whose inputs are both
+/// hash-partitioned on their keys (partitioned hash Match, sort-merge
+/// Match, CoGroup). Records meet only where their key values are equal, so
+/// the output is hash-partitioned on whichever input key the UDF preserves.
+/// This keeps the §5 interesting property of Figure 5: the solution join's
+/// D leaves partitioned like S, so the next join forwards D and partitions
+/// its constant input once into the §4.3 cache instead of broadcasting it.
+/// `props` is the strategy's own answer; when it claims no partitioning,
+/// input 0's key and then input 1's key are tried. Only the partitioning
+/// is added, never a sort order.
+PhysProps CoPartitionedProps(PhysProps props, const LogicalNode& node) {
+  if (props.distribution == Distribution::kHashPartitioned) return props;
+  for (int input : {0, 1}) {
+    KeySpec remapped;
+    if (RemapKey(input == 0 ? node.key_left : node.key_right,
+                 MappingsOf(node, input), &remapped)) {
+      props.distribution = Distribution::kHashPartitioned;
+      props.partition_key = remapped;
+      break;
+    }
+  }
+  return props;
+}
+
 /// Dominance pruning: drop candidates that cost more without delivering
 /// better properties.
 void Prune(std::vector<Candidate>* cands) {
@@ -499,8 +523,9 @@ void EnumerateNode(OptCtx* ctx, const LogicalNode& node) {
                              ctx->EdgeWeight(build, node.id) +
                          prows * kHashProbe * probe_weight;
                 // The probe side's properties survive through preservation.
-                c.props =
-                    RemapProps(pship.delivered, node, build_left ? 1 : 0);
+                c.props = CoPartitionedProps(
+                    RemapProps(pship.delivered, node, build_left ? 1 : 0),
+                    node);
                 out.push_back(c);
               }
             }
@@ -582,7 +607,7 @@ void EnumerateNode(OptCtx* ctx, const LogicalNode& node) {
               raw.distribution = Distribution::kHashPartitioned;
               raw.partition_key = node.key_left;
               raw.sort_key = node.key_left;
-              c.props = RemapProps(raw, node, 0);
+              c.props = CoPartitionedProps(RemapProps(raw, node, 0), node);
               out.push_back(c);
             }
           }
@@ -647,7 +672,7 @@ void EnumerateNode(OptCtx* ctx, const LogicalNode& node) {
               raw.distribution = Distribution::kHashPartitioned;
               raw.partition_key = node.key_left;
               raw.sort_key = node.key_left;
-              c.props = RemapProps(raw, node, 0);
+              c.props = CoPartitionedProps(RemapProps(raw, node, 0), node);
               out.push_back(c);
             }
           }

@@ -62,9 +62,9 @@
 //       never while the dataflow runs.
 //     - Credit returns implicitly: the consumer popping an envelope moves
 //       `popped` forward, and the retired buffer comes back through the
-//       returns queue — the batch pool doubly serves as the flow-control
-//       window. A stale `popped` read can only under-estimate the drain,
-//       so the bound is conservative, never violated.
+//       returns queue while the batch pool has room. A stale `popped`
+//       read can only under-estimate the drain, so the bound is
+//       conservative, never violated.
 //     - Deadlock safety is the *caller's* obligation: bounded lanes are
 //       only safe on edges whose consumer drains incrementally
 //       (DrainOpen-style), never on edges a consumer reads to
@@ -73,12 +73,17 @@
 //       unbounded).
 //
 // * Batch pool. Each lane owns a return queue of retired record buffers
-//   (the same unbounded SPSC structure, pointed the other way): ReadPhase
-//   recycles every drained data batch back to the lane it arrived on, and
-//   producers cut fresh batches from their lane's returns via AcquireBatch.
-//   In steady state a superstep's shipping allocates nothing — buffers just
-//   circulate producer → consumer → producer, keeping the capacity they
-//   grew.
+//   (the same SPSC structure, pointed the other way): ReadPhase recycles
+//   drained data batches back to the lane they arrived on, and producers
+//   cut fresh batches from their lane's returns via AcquireBatch. The pool
+//   is bounded: a lane keeps at most kMaxPooledBatches idle buffers, and
+//   the consumer frees a retired buffer instead of returning it while the
+//   pool is full. A lane's retention is therefore that constant, not the
+//   forward queue's high-water mark — a burst (a constant-path input
+//   shipped once, a large first superstep) does not pin its buffers for
+//   the rest of the job. In steady state a superstep's shipping still
+//   allocates nothing: buffers circulate producer → consumer → producer,
+//   keeping the capacity they grew.
 //
 // * Seed/Reset are controller-side operations and are only legal while no
 //   producer or consumer is active (service sessions call them between
@@ -233,6 +238,10 @@ class Exchange {
   Exchange& operator=(const Exchange&) = delete;
 
   int num_producers() const { return num_producers_; }
+
+  /// Idle buffers a lane's batch pool keeps at most; further retired
+  /// buffers are freed (see the Batch pool contract).
+  static constexpr uint64_t kMaxPooledBatches = 8;
 
   // --- wiring (before any producer/consumer task is scheduled) ------------
 
@@ -576,11 +585,10 @@ class Exchange {
   struct alignas(64) Lane {
     // Forward direction: envelopes, producer -> consumer.
     SpscSegmentQueue<Envelope> queue;
-    // Return direction: retired batch buffers, consumer -> producer. As
-    // unbounded as the forward queue, so recycling never drops a buffer no
-    // matter how far a producer runs ahead; total retention is bounded by
-    // the forward queue's own high-water mark (every buffer is either in
-    // flight or in returns).
+    // Return direction: retired batch buffers, consumer -> producer. Holds
+    // at most kMaxPooledBatches buffers: Recycle frees a buffer instead of
+    // pushing it once `recycled - pool_hits` reaches the bound, however deep
+    // the forward queue ran.
     SpscSegmentQueue<std::vector<Record>> returns;
 
     // Producer-side counters.
@@ -594,6 +602,7 @@ class Exchange {
     bool closed = false;      ///< kEndStream observed (reset by Seed)
     bool phase_done = false;  ///< marker observed for the running ReadPhase
     std::atomic<uint64_t> popped{0};
+    uint64_t recycled = 0;  ///< buffers pushed into `returns`
   };
 
   Lane& LaneAt(int lane) {
@@ -629,13 +638,21 @@ class Exchange {
     return false;
   }
 
-  /// Returns a retired batch buffer to `lane`'s pool. Buffers that never
-  /// allocated are not worth the round trip.
+  /// Returns a retired batch buffer to `lane`'s pool, or frees it when the
+  /// pool already holds kMaxPooledBatches buffers. Buffers that never
+  /// allocated are not worth the round trip. The pool depth is
+  /// `recycled - pool_hits`; a `pool_hits` read that lags the producer only
+  /// overstates the depth, so the bound errs towards freeing.
   void Recycle(Lane& lane, RecordBatch batch) {
     std::vector<Record> buffer = std::move(batch.records());
     if (buffer.capacity() == 0) return;
+    if (lane.recycled - lane.pool_hits.load(std::memory_order_relaxed) >=
+        kMaxPooledBatches) {
+      return;
+    }
     buffer.clear();  // keeps capacity — that is the point of the pool
     lane.returns.Push(std::move(buffer));
+    ++lane.recycled;
   }
 
   /// Spin-then-park: the consumer briefly spins over the open lanes, then

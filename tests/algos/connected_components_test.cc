@@ -32,6 +32,27 @@ TEST_P(CcVariantTest, CorrectOnRmat) {
   EXPECT_TRUE(result->converged);
 }
 
+TEST_P(CcVariantTest, CorrectOnRmatAtEveryParallelism) {
+  // The solution join hands D to `neighbors` over a forward edge, so D must
+  // stay partitioned like S at any partition count, including odd ones.
+  RmatOptions opt;
+  opt.num_vertices = 1024;
+  opt.num_edges = 3000;
+  opt.seed = 5;
+  Graph graph = GenerateRmat(opt);
+  const auto reference = ReferenceComponents(graph);
+  for (int parallelism : {1, 3, 4, 8}) {
+    SCOPED_TRACE(parallelism);
+    CcOptions options;
+    options.variant = GetParam().variant;
+    options.parallelism = parallelism;
+    auto result = RunConnectedComponents(graph, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->labels, reference);
+    EXPECT_TRUE(result->converged);
+  }
+}
+
 TEST_P(CcVariantTest, CorrectOnDisconnectedClusters) {
   // Many small components: exercises per-component convergence.
   GraphBuilder builder(300);

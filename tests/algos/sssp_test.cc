@@ -35,6 +35,26 @@ TEST(SsspTest, HopCountsOnRmat) {
   ExpectDistancesMatch(graph, *result, 0, 1);
 }
 
+TEST(SsspTest, WeightedDistancesAtOddAndEvenParallelism) {
+  // `expand` receives D over a forward edge: D must stay partitioned like
+  // S at a non-power-of-two partition count too.
+  ErdosRenyiOptions opt;
+  opt.num_vertices = 512;
+  opt.num_edges = 2048;
+  Graph graph = GenerateErdosRenyi(opt);
+  for (int parallelism : {3, 4}) {
+    SCOPED_TRACE(parallelism);
+    SsspOptions options;
+    options.source = 3;
+    options.max_weight = 10;
+    options.parallelism = parallelism;
+    auto result = RunSssp(graph, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->converged);
+    ExpectDistancesMatch(graph, *result, 3, 10);
+  }
+}
+
 TEST(SsspTest, WeightedDistances) {
   ErdosRenyiOptions opt;
   opt.num_vertices = 512;

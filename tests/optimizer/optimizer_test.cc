@@ -8,6 +8,7 @@
 #include "algos/pagerank.h"
 #include "dataflow/plan_builder.h"
 #include "graph/generators.h"
+#include "record/comparator.h"
 
 namespace sfdf {
 namespace {
@@ -213,6 +214,97 @@ TEST(OptimizerTest, WorksetExpansionDerivesIndexFromJoinKind) {
   ASSERT_TRUE(btree_plan.ok());
   // CoGroup ⇒ sort strategy ⇒ B+-tree index (§5.3).
   EXPECT_TRUE(btree_plan->workset_iterations[0].use_btree_index);
+}
+
+/// The Figure 5 workset plan over synthetic sizes: the solution join
+/// `update` (InnerCoGroup or Match of the workset with S, preserving S's
+/// key) feeds `next` (a Match of D with the loop-invariant edge set). The
+/// CC shape starts from one candidate per edge, as CC's W0 does; the SSSP
+/// shape has weighted edges and starts from the source's edges only.
+Plan BuildWorksetJoinPlan(bool cogroup, bool sssp, const char* next_name,
+                          std::vector<Record>* out) {
+  std::vector<Record> vertices;
+  std::vector<Record> edges;
+  std::vector<Record> workset;
+  for (int64_t v = 0; v < 1000; ++v) {
+    vertices.push_back(Record::OfInts(v, v));
+    for (int64_t k = 1; k <= 8; ++k) {
+      const int64_t dst = (v * 7 + k) % 1000;
+      edges.push_back(sssp ? Record::OfIntIntDouble(v, dst, 1.0)
+                           : Record::OfInts(v, dst));
+      if (!sssp || v == 0) workset.push_back(Record::OfInts(dst, v));
+    }
+  }
+  PlanBuilder pb;
+  auto s0 = pb.Source("S0", std::move(vertices));
+  auto w0 = pb.Source("W0", std::move(workset));
+  auto e = pb.Source("E", std::move(edges));
+  auto it = pb.BeginWorksetIteration("ws", s0, w0, {0},
+                                     OrderByIntFieldDesc(1));
+  DataSet delta;
+  if (cogroup) {
+    delta = pb.InnerCoGroup("update", it.Workset(), it.SolutionSet(), {0}, {0},
+                            [](const std::vector<Record>&,
+                               const std::vector<Record>& s, Collector* c) {
+                              c->Emit(s.front());
+                            });
+  } else {
+    delta = pb.Match("update", it.Workset(), it.SolutionSet(), {0}, {0},
+                     [](const Record&, const Record& s, Collector* c) {
+                       c->Emit(s);
+                     });
+  }
+  pb.DeclarePreserved(delta, 1, 0, 0);
+  auto next = pb.Match(next_name, delta, e, {0}, {0},
+                       [](const Record& d, const Record& edge, Collector* c) {
+                         c->Emit(Record::OfInts(edge.GetInt(1), d.GetInt(1)));
+                       });
+  pb.DeclarePreserved(next, 1, 1, 0);
+  auto result = it.Close(delta, next);
+  pb.Sink("out", result, out);
+  return std::move(pb).Finish();
+}
+
+TEST(OptimizerTest, SolutionJoinOutputStaysPartitionedLikeS) {
+  // Figure 5: D leaves the solution join partitioned like S, so the join
+  // with the loop-invariant edges forwards D and hash-partitions the edges
+  // once into the §4.3 cache instead of broadcasting them.
+  struct Shape {
+    const char* name;
+    bool cogroup;
+    bool sssp;
+    const char* next;
+  };
+  const Shape shapes[] = {{"incr-cc cogroup", true, false, "neighbors"},
+                          {"incr-cc match", false, false, "neighbors"},
+                          {"sssp", false, true, "expand"}};
+  Optimizer optimizer(OptimizerOptions{.parallelism = 4});
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    std::vector<Record> out;
+    Plan plan =
+        BuildWorksetJoinPlan(shape.cogroup, shape.sssp, shape.next, &out);
+    auto physical = optimizer.Optimize(plan);
+    ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+    const PhysicalTask& update = TaskNamed(*physical, "update");
+    EXPECT_TRUE(update.output_props.IsPartitionedBy({0}))
+        << physical->ToString();
+    const PhysicalTask& next = TaskNamed(*physical, shape.next);
+    ASSERT_EQ(next.inputs.size(), 2u);
+    EXPECT_EQ(next.inputs[0].ship, ShipStrategy::kForward)
+        << physical->ToString();
+    EXPECT_EQ(next.inputs[1].ship, ShipStrategy::kHashPartition)
+        << physical->ToString();
+    EXPECT_EQ(next.inputs[1].ship_key, KeySpec({0}));
+    EXPECT_TRUE(next.inputs[1].constant_path);
+    EXPECT_TRUE(next.inputs[1].cached);
+    for (const PhysicalTask& task : physical->tasks) {
+      for (const PhysicalInput& input : task.inputs) {
+        EXPECT_NE(input.ship, ShipStrategy::kBroadcast)
+            << task.name << "\n" << physical->ToString();
+      }
+    }
+  }
 }
 
 TEST(OptimizerTest, MicrostepRequestRejectedWhenNotCapable) {

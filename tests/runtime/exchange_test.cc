@@ -179,6 +179,22 @@ TEST(ExchangeTest, BatchPoolRecyclesRetiredBuffers) {
   EXPECT_EQ(stats.pool_misses, 1);
 }
 
+TEST(ExchangeTest, BatchPoolKeepsAtMostTheBoundPerLane) {
+  // A burst of 100 batches retires 100 buffers at once; the lane keeps only
+  // kMaxPooledBatches of them and frees the rest.
+  Exchange exchange(1);
+  for (int i = 0; i < 100; ++i) {
+    exchange.Push(0, DataEnvelope({Record::OfInts(i)}));
+  }
+  exchange.Push(0, Marker(MarkerKind::kEndStream));
+  EXPECT_EQ(DrainInts(exchange, MarkerKind::kEndStream).size(), 100u);
+  for (int i = 0; i < 100; ++i) exchange.AcquireBatch(0);
+  const Exchange::Stats stats = exchange.stats();
+  const int64_t bound = static_cast<int64_t>(Exchange::kMaxPooledBatches);
+  EXPECT_EQ(stats.pool_hits, bound);
+  EXPECT_EQ(stats.pool_misses, 100 - bound);
+}
+
 TEST(ExchangeTest, LaneStateDistinguishesOpenEmptyFromClosed) {
   // The barrier-free consumer contract: an empty lane is only *finished*
   // when its producer closed it — "open but currently empty" means more
