@@ -52,7 +52,6 @@ ConfigResult RunConfig(const Graph& graph, int active, int idle, bool shared,
   ServingPageRankOptions options;
   options.epsilon = 1e-9;
   options.max_batch = 64;
-  options.max_linger = std::chrono::milliseconds(1);
   if (shared) {
     options.engine = pool.get();
   } else {
@@ -77,8 +76,8 @@ ConfigResult RunConfig(const Graph& graph, int active, int idle, bool shared,
   // One storm: every active tenant absorbs `mutations_per_tenant` from its
   // own writer thread; returns {seconds, mutations folded}. Repeated on
   // the SAME resident tenants (steady-state serving) with the best run
-  // kept — single storms are short enough that admission-linger phasing
-  // dominates a lone sample.
+  // kept — single storms are short enough that how the writers' enqueues
+  // fall into group-commit batches dominates a lone sample.
   auto storm = [&](int round) {
     std::vector<uint64_t> before(active);
     for (int i = 0; i < active; ++i) {
@@ -205,8 +204,8 @@ int main() {
   bench::PrintPeakRss();
   // Acceptance floor, full scale only: the shared pool keeps >= 0.8x the
   // dedicated teams' aggregate throughput. (In smoke mode the per-round
-  // work is microseconds and the admission linger dominates everything, so
-  // the ratio is reported but not enforced.)
+  // work is microseconds and fixed per-round overhead dominates everything,
+  // so the ratio is reported but not enforced.)
   if (ScaleFactor() < 1.0) return 0;
   return share_ratio >= 0.8 ? 0 : 1;
 }

@@ -67,7 +67,6 @@ int main() {
   ServingCc::Options options;
   options.num_vertices = n;
   options.service.max_batch = 256;
-  options.service.max_linger = std::chrono::milliseconds(1);
   options.service.max_pending_mutations = 1 << 16;
   auto tenant = ServingCc::StartOn(&host, "cc", options);
   if (!tenant.ok()) {

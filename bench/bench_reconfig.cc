@@ -37,7 +37,6 @@ int main() {
   options.epsilon = kEpsilon;
   options.parallelism = 4;
   options.max_batch = 64;
-  options.max_linger = std::chrono::milliseconds(1);
   auto started = ServingPageRank::Start(graph, options);
   if (!started.ok()) {
     std::printf("serving error: %s\n", started.status().ToString().c_str());

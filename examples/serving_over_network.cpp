@@ -24,7 +24,6 @@ int main() {
   ServingCc::Options cc_options;
   cc_options.num_vertices = 8;
   cc_options.service.max_batch = 16;
-  cc_options.service.max_linger = std::chrono::milliseconds(1);
   cc_options.service.max_pending_mutations = 4096;  // bounded admission
   auto social = ServingCc::StartOn(&host, "social", cc_options);
   auto roads = ServingCc::StartOn(&host, "roads", cc_options);

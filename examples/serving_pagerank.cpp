@@ -27,7 +27,6 @@ int main() {
   ServingPageRankOptions options;
   options.epsilon = 1e-9;
   options.max_batch = 64;
-  options.max_linger = std::chrono::milliseconds(1);
   Stopwatch cold_watch;
   auto started = ServingPageRank::Start(graph, options);
   if (!started.ok()) {

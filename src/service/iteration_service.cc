@@ -22,9 +22,6 @@ Result<std::unique_ptr<IterationService>> IterationService::Start(
   if (options.max_batch < 1) {
     return Status::InvalidArgument("ServiceOptions.max_batch must be >= 1");
   }
-  if (options.max_linger.count() < 0) {
-    return Status::InvalidArgument("ServiceOptions.max_linger must be >= 0");
-  }
   if (options.max_pending_mutations < 0) {
     return Status::InvalidArgument(
         "ServiceOptions.max_pending_mutations must be >= 0");
@@ -109,9 +106,6 @@ uint64_t IterationService::MutateInternal(std::vector<GraphMutation> mutations,
         " pending mutations); retry later");
     return 0;
   }
-  if (pending_.empty()) {
-    oldest_arrival_ = std::chrono::steady_clock::now();
-  }
   pending_.insert(pending_.end(), mutations.begin(), mutations.end());
   enqueued_seq_ += mutations.size();
   queue_cv_.notify_all();
@@ -137,8 +131,13 @@ Status IterationService::Apply(std::vector<GraphMutation> mutations) {
 
 IterationService::QueryResult IterationService::Query(
     const Record& probe) const {
-  QueryResult result;
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
+  return QueryLocked(probe);
+}
+
+IterationService::QueryResult IterationService::QueryLocked(
+    const Record& probe) const {
+  QueryResult result;
   // Seqlock validation: while any reader holds the shared lock the writer
   // cannot be mid-round, so the service epoch must read even and match the
   // batch stamp of the partition the value comes from.
@@ -159,15 +158,12 @@ IterationService::QueryResult IterationService::Query(
 }
 
 IterationService::QueryResult IterationService::QueryKey(int64_t key) const {
-  {
-    // solution_key() walks the live ExecContext, which Reconfigure swaps
-    // out under the writer lock — even this sanity probe must hold the
-    // read lock to avoid touching a skeleton mid-teardown.
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    SFDF_DCHECK(session_->solution_key() == KeySpec{0})
-        << "QueryKey assumes the single-int-field-0 solution key";
-  }
-  return Query(Record::OfInts(key));
+  // solution_key() walks the live ExecContext, which Reconfigure swaps out
+  // under the writer lock: the key check and the probe share one read lock.
+  std::shared_lock<std::shared_mutex> lock(state_mutex_);
+  SFDF_DCHECK(session_->solution_key() == KeySpec{0})
+      << "QueryKey assumes the single-int-field-0 solution key";
+  return QueryLocked(Record::OfInts(key));
 }
 
 IterationService::SnapshotPageResult IterationService::SnapshotPage(
@@ -260,6 +256,11 @@ ServiceStats IterationService::stats() const {
   return stats;
 }
 
+uint64_t IterationService::reconfigs_queued() const {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  return reconfigs_.size();
+}
+
 void IterationService::SnapshotEngineStats() {
   // Taken on the admission thread (the only thread that may touch the
   // session) so stats() never races the session teardown in Stop().
@@ -312,7 +313,8 @@ Status IterationService::DoReconfigure(int new_partitions,
   // right up to the lock handover) and lock-free epoch observers can tell
   // a boundary is in flight. The session itself quiesces at the committed
   // round boundary inside ExecutionSession::Reconfigure.
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  const uint64_t opened = epoch_.fetch_add(1, std::memory_order_acq_rel);
+  SFDF_DCHECK(opened % 2 == 0) << "reconfiguration opened on an odd epoch";
   Stopwatch watch;
   static const uint16_t kReconfigure =
       trace::RegisterName("service.reconfigure");
@@ -323,6 +325,7 @@ Status IterationService::DoReconfigure(int new_partitions,
     // epoch. The epoch bump also tells paged-snapshot clients their
     // cursors died with the old shard layout.
     const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    SFDF_DCHECK(epoch % 2 == 0) << "reconfiguration committed an odd epoch";
     for (int p = 0; p < session_->parallelism(); ++p) {
       session_->solution_partition(p)->set_epoch(epoch);
     }
@@ -336,7 +339,9 @@ Status IterationService::DoReconfigure(int new_partitions,
   // previous even epoch. On a structural rejection the session still
   // serves at the old width; on a rebuild failure the caller fails the
   // service (the session is finished).
-  epoch_.fetch_sub(1, std::memory_order_acq_rel);
+  const uint64_t restored = epoch_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+  SFDF_DCHECK(restored % 2 == 0)
+      << "rejected reconfiguration left an odd epoch";
   return report.status();
 }
 
@@ -345,7 +350,8 @@ Status IterationService::ProcessBatch(
   std::unique_lock<std::shared_mutex> lock(state_mutex_);
   // Odd epoch: a round is in flight; readers are excluded by the lock and
   // a lock-free observer can tell the state is mid-batch.
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  const uint64_t opened = epoch_.fetch_add(1, std::memory_order_acq_rel);
+  SFDF_DCHECK(opened % 2 == 0) << "round opened on an odd epoch";
   Stopwatch watch;
   static const uint16_t kRound = trace::RegisterName("service.round");
   trace::Span span(kRound, static_cast<int64_t>(batch.size()));
@@ -367,6 +373,7 @@ Status IterationService::ProcessBatch(
     // so epoch-tagged reads can attribute values to it.
     const uint64_t epoch =
         epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    SFDF_DCHECK(epoch % 2 == 0) << "round committed an odd epoch";
     for (int p = 0; p < session_->parallelism(); ++p) {
       session_->solution_partition(p)->set_epoch(epoch);
     }
@@ -390,7 +397,9 @@ Status IterationService::ProcessBatch(
     // Failed batch: no boundary was committed (translators are atomic —
     // they validate before touching any state), so step back to the
     // previous even epoch; reads keep matching the partition stamps.
-    epoch_.fetch_sub(1, std::memory_order_acq_rel);
+    const uint64_t restored =
+        epoch_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+    SFDF_DCHECK(restored % 2 == 0) << "failed round left an odd epoch";
   }
   return status;
 }
@@ -406,6 +415,15 @@ void IterationService::AdmissionLoop() {
       request->result = status;
       request->done = true;
     }
+  };
+  // Fails the service: queued Reconfigure waiters get `status` and the
+  // pending mutations are rejected. Caller holds queue_mutex_.
+  auto fail = [&](const Status& status) {
+    failed_ = status;
+    release_reconfigs(status);
+    rejected_ += pending_.size();
+    pending_.clear();
+    queue_cv_.notify_all();
   };
   for (;;) {
     queue_cv_.wait(lock, [this] {
@@ -436,29 +454,14 @@ void IterationService::AdmissionLoop() {
                          status.code() != StatusCode::kUnsupported;
       request->result = status;
       request->done = true;
-      if (fatal) {
-        failed_ = status;
-        release_reconfigs(status);
-        rejected_ += pending_.size();
-        pending_.clear();
-        queue_cv_.notify_all();
-        return;
-      }
+      if (fatal) return fail(status);
       queue_cv_.notify_all();
       continue;
     }
     if (pending_.empty()) return;  // stopping, fully drained
-    if (!stopping_ &&
-        pending_.size() < static_cast<size_t>(options_.max_batch)) {
-      // Linger: give concurrent writers a chance to coalesce into this
-      // batch, bounded by the oldest pending mutation's wait.
-      auto deadline = oldest_arrival_ + options_.max_linger;
-      queue_cv_.wait_until(lock, deadline, [this] {
-        return stopping_ ||
-               pending_.size() >= static_cast<size_t>(options_.max_batch);
-      });
-    }
 
+    // Group commit: the service thread is free, so everything pending (up
+    // to max_batch) runs now; what arrives meanwhile is the next batch.
     const size_t take =
         std::min(pending_.size(), static_cast<size_t>(options_.max_batch));
     std::vector<GraphMutation> batch(pending_.begin(),
@@ -468,22 +471,12 @@ void IterationService::AdmissionLoop() {
     const uint64_t ticket = admitted_seq_;
     static const uint16_t kAdmit = trace::RegisterName("service.admit");
     trace::Instant(kAdmit, static_cast<int64_t>(take));
-    // Remaining mutations restart their linger clock (conservative: they
-    // wait at most one extra max_linger).
-    oldest_arrival_ = std::chrono::steady_clock::now();
 
     lock.unlock();
     Status status = ProcessBatch(batch);
     lock.lock();
 
-    if (!status.ok()) {
-      failed_ = status;
-      release_reconfigs(status);
-      rejected_ += pending_.size();
-      pending_.clear();
-      queue_cv_.notify_all();
-      return;
-    }
+    if (!status.ok()) return fail(status);
     applied_seq_ = ticket;
     queue_cv_.notify_all();
   }

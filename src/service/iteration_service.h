@@ -5,16 +5,16 @@
 // Architecture (see README "Serving"):
 //
 //   clients ──Mutate()──▶ admission queue ──batch──▶ translator (SeedFn)
-//                         (max_batch / max_linger)        │ W_0 seeds
+//                         (group commit, ≤ max_batch)     │ W_0 seeds
 //                                                         ▼
 //   Query()/Snapshot() ◀──epoch-tagged reads──  resident ExecutionSession
 //                                               (warm RunRound per batch)
 //
-// * Admission: Mutate() enqueues mutations from any number of client
-//   threads; the service thread admits a batch once it reaches
-//   `max_batch` mutations or the oldest pending mutation has lingered
-//   `max_linger` — batching amortizes the per-round barrier cost the same
-//   way the paper's supersteps amortize channel events.
+// * Admission (group commit): Mutate() enqueues mutations from any number
+//   of client threads. When the service thread is free it runs everything
+//   pending, up to `max_batch`, as one round at once; what arrives during
+//   that round is the next batch. An idle service never waits, and batches
+//   grow under load to amortize the per-round barrier cost.
 // * Warm rounds: each admitted batch is translated into workset seeds and
 //   re-converged by ExecutionSession::RunRound, reusing the resident
 //   solution set, constant-path caches and task threads (§5–§7: cost
@@ -49,10 +49,10 @@
 namespace sfdf {
 
 struct ServiceOptions {
-  /// Admission queue: a batch is released once it holds this many
-  /// mutations...
+  /// Group commit: the service thread admits everything pending, up to
+  /// this many mutations, as one round as soon as it is free.
   int max_batch = 256;
-  /// ...or once the oldest pending mutation has waited this long.
+  /// Ignored: admission is group commit (see above), there is no linger.
   std::chrono::milliseconds max_linger{2};
   /// Bounded admission: a Mutate/Apply call whose mutations would push the
   /// pending (enqueued, not yet admitted) queue beyond this many entries is
@@ -221,6 +221,10 @@ class IterationService {
 
   ServiceStats stats() const;
 
+  /// Reconfigure calls waiting for the admission thread. Unlike stats(),
+  /// this answers while a round is in flight (it takes only the queue lock).
+  uint64_t reconfigs_queued() const;
+
   /// Snapshot of the per-committed-round latency histogram, for registry
   /// exposition (obs/registry.h renders its quantiles). Taken under the
   /// shared state lock, like the stats() percentiles derived from it.
@@ -250,6 +254,8 @@ class IterationService {
                    ServiceOptions options);
 
   Status Validate(const std::vector<GraphMutation>& mutations) const;
+  /// Point read; caller holds the shared side of state_mutex_.
+  QueryResult QueryLocked(const Record& probe) const;
   /// Single validation + enqueue step shared by Mutate and Apply; on
   /// rejection returns 0 and fills `*rejection` with the reason.
   uint64_t MutateInternal(std::vector<GraphMutation> mutations,
@@ -298,7 +304,6 @@ class IterationService {
   std::condition_variable queue_cv_;
   std::deque<GraphMutation> pending_;
   std::deque<ReconfigRequest*> reconfigs_;
-  std::chrono::steady_clock::time_point oldest_arrival_{};
   uint64_t enqueued_seq_ = 0;  ///< ticket of the newest enqueued mutation
   uint64_t admitted_seq_ = 0;  ///< ticket of the newest admitted mutation
   uint64_t applied_seq_ = 0;   ///< ticket of the newest committed mutation

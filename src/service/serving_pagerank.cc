@@ -101,7 +101,6 @@ Result<std::unique_ptr<ServingPageRank>> ServingPageRank::Start(
 
   ServiceOptions sopt;
   sopt.max_batch = options.max_batch;
-  sopt.max_linger = options.max_linger;
   sopt.exec.parallelism = options.parallelism;
   sopt.exec.worker_threads = options.worker_threads;
   sopt.exec.engine = options.engine;

@@ -44,7 +44,7 @@ struct ServingPageRankOptions {
   Engine* engine = nullptr;
   /// Safety cap on supersteps per warm round.
   int max_iterations_per_round = 10000;
-  /// Admission batching (see ServiceOptions).
+  /// Admission batching (see ServiceOptions; max_linger is ignored).
   int max_batch = 256;
   std::chrono::milliseconds max_linger{2};
   /// Serving capacity: mutations naming a vertex id >= this are rejected at

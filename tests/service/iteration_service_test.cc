@@ -2,9 +2,14 @@
 // mutations re-converged as warm incremental rounds.
 #include "service/iteration_service.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -270,6 +275,200 @@ TEST(StreamedCcServiceTest, NegativeAdmissionBoundIsRejectedAtStart) {
       options);
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Group-commit admission, driven through a raw IterationService whose
+// translator can hold the first warm round until the test releases it.
+// Whatever a test enqueues meanwhile is queued behind a busy service
+// thread, so batch boundaries follow from the protocol, not from timing.
+// ---------------------------------------------------------------------------
+
+class HeldRounds {
+ public:
+  /// Serves min-labels over `num_vertices` isolated vertices; an edge
+  /// insert (u, v) offers min(u, v) to max(u, v). With `hold_first`, the
+  /// first translated batch blocks until Release().
+  static std::unique_ptr<HeldRounds> Start(int64_t num_vertices,
+                                           ServiceOptions options,
+                                           bool hold_first) {
+    auto held = std::unique_ptr<HeldRounds>(new HeldRounds);
+    held->holding_ = hold_first;
+    std::vector<Record> labels;
+    for (int64_t v = 0; v < num_vertices; ++v) {
+      labels.push_back(Record::OfInts(v, v));
+    }
+    PlanBuilder pb;
+    auto labels_src = pb.Source("V", std::move(labels));
+    auto workset_src = pb.Source("W0", std::vector<Record>{});
+    auto it = pb.BeginWorksetIteration("held-min-label", labels_src,
+                                       workset_src, /*solution_key=*/{0},
+                                       OrderByIntFieldDesc(1),
+                                       IterationMode::kSuperstep, 100);
+    auto delta = pb.Match("update", it.Workset(), it.SolutionSet(), {0}, {0},
+                          [](const Record& cand, const Record& current,
+                             Collector* out) {
+                            if (cand.GetInt(1) < current.GetInt(1)) {
+                              out->Emit(cand);
+                            }
+                          });
+    pb.DeclarePreserved(delta, 1, 0, 0);
+    auto next = pb.Map("none", delta, [](const Record&, Collector*) {});
+    pb.Sink("labels", it.Close(delta, next), &held->output_);
+    auto physical = Optimizer(OptimizerOptions{}).Optimize(
+        std::move(pb).Finish());
+    EXPECT_TRUE(physical.ok()) << physical.status().ToString();
+
+    HeldRounds* raw = held.get();
+    auto service = IterationService::Start(
+        std::move(*physical),
+        [raw](ExecutionSession& session,
+              const std::vector<GraphMutation>& batch) {
+          return raw->Translate(session, batch);
+        },
+        options);
+    EXPECT_TRUE(service.ok()) << service.status().ToString();
+    held->service_ = std::move(*service);
+    return held;
+  }
+
+  /// A failed assertion must not leave Stop() joining a held round.
+  ~HeldRounds() { Release(); }
+  HeldRounds(const HeldRounds&) = delete;
+  HeldRounds& operator=(const HeldRounds&) = delete;
+
+  IterationService& service() { return *service_; }
+
+  /// Blocks until the held first round is inside the translator.
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return !batch_sizes_.empty(); });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    holding_ = false;
+    cv_.notify_all();
+  }
+
+  /// Size and session width of every translated batch, in round order.
+  std::vector<size_t> batch_sizes() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batch_sizes_;
+  }
+  std::vector<int> batch_widths() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batch_widths_;
+  }
+
+ private:
+  HeldRounds() = default;
+
+  Result<std::vector<Record>> Translate(
+      ExecutionSession& session, const std::vector<GraphMutation>& batch) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      batch_sizes_.push_back(batch.size());
+      batch_widths_.push_back(session.parallelism());
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !holding_; });
+    }
+    std::vector<Record> seeds;
+    for (const GraphMutation& m : batch) {
+      seeds.push_back(Record::OfInts(std::max(m.u, m.v), std::min(m.u, m.v)));
+    }
+    return seeds;
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  std::vector<size_t> batch_sizes_;
+  std::vector<int> batch_widths_;
+  std::vector<Record> output_;
+  std::unique_ptr<IterationService> service_;
+};
+
+TEST(GroupCommitTest, LoneApplyOnAnIdleServiceRunsAtOnce) {
+  // max_linger is ignored: an idle service thread starts the round as soon
+  // as the mutation arrives instead of waiting for company.
+  ServiceOptions options;
+  options.max_linger = std::chrono::seconds(10);
+  auto held = HeldRounds::Start(8, options, /*hold_first=*/false);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(held->service().Apply({GraphMutation::EdgeInsert(2, 5)}).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(held->service().stats().rounds, 1u);
+  EXPECT_EQ(held->service().QueryKey(5).record.GetInt(1), 2);
+  EXPECT_TRUE(held->service().Stop().ok());
+}
+
+TEST(GroupCommitTest, MutationsQueuedBehindARoundCommitInMaxBatchChunks) {
+  ServiceOptions options;
+  options.max_batch = 4;
+  options.max_linger = std::chrono::seconds(10);
+  auto held = HeldRounds::Start(16, options, /*hold_first=*/true);
+  IterationService& service = held->service();
+
+  ASSERT_GT(service.Mutate({GraphMutation::EdgeInsert(0, 1)}), 0u);
+  held->WaitUntilHeld();
+  // Round 1 is in flight: these calls become the next batches, cut at
+  // max_batch, and run back to back once it commits.
+  constexpr int kQueued = 10;
+  std::vector<uint64_t> tickets;
+  for (int64_t v = 2; v < 2 + kQueued; ++v) {
+    tickets.push_back(service.Mutate({GraphMutation::EdgeInsert(v, v + 1)}));
+    ASSERT_GT(tickets.back(), 0u);
+  }
+  held->Release();
+  for (uint64_t ticket : tickets) {
+    EXPECT_TRUE(service.Await(ticket).ok()) << "ticket " << ticket;
+  }
+
+  const uint64_t chunks = (kQueued + options.max_batch - 1) / options.max_batch;
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.rounds, 1 + chunks);
+  EXPECT_EQ(stats.mutations_applied, 1u + kQueued);
+  EXPECT_EQ(held->batch_sizes(), (std::vector<size_t>{1, 4, 4, 2}));
+  EXPECT_EQ(service.epoch(), 2 * stats.rounds);
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+TEST(GroupCommitTest, ReconfigureQueuedBehindARoundRunsBeforePendingBatches) {
+  ServiceOptions options;
+  options.max_batch = 64;
+  options.exec.parallelism = 2;
+  auto held = HeldRounds::Start(16, options, /*hold_first=*/true);
+  IterationService& service = held->service();
+
+  ASSERT_GT(service.Mutate({GraphMutation::EdgeInsert(0, 1)}), 0u);
+  held->WaitUntilHeld();
+  std::vector<uint64_t> tickets;
+  for (int64_t v = 2; v < 8; ++v) {
+    tickets.push_back(service.Mutate({GraphMutation::EdgeInsert(v, v + 8)}));
+    ASSERT_GT(tickets.back(), 0u);
+  }
+  Status resized;
+  std::thread reconfigure([&] { resized = service.Reconfigure(3); });
+  while (service.reconfigs_queued() == 0) std::this_thread::yield();
+  held->Release();
+  reconfigure.join();
+  ASSERT_TRUE(resized.ok()) << resized.ToString();
+
+  // The remap jumped the queue: every mutation pending behind round 1 ran
+  // at the new width, and every ticket taken before the remap resolved.
+  for (uint64_t ticket : tickets) {
+    EXPECT_TRUE(service.Await(ticket).ok()) << "ticket " << ticket;
+  }
+  EXPECT_EQ(held->batch_widths(), (std::vector<int>{2, 3}));
+  EXPECT_EQ(held->batch_sizes(), (std::vector<size_t>{1, 6}));
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.reconfigs, 1u);
+  EXPECT_EQ(stats.mutations_applied, 7u);
+  for (int64_t v = 2; v < 8; ++v) {
+    EXPECT_EQ(service.QueryKey(v + 8).record.GetInt(1), v) << "vertex " << v;
+  }
+  EXPECT_TRUE(service.Stop().ok());
 }
 
 // ---------------------------------------------------------------------------
