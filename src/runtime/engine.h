@@ -8,7 +8,8 @@
 // asynchronous dataflow engines do (PAPERS.md: Fries; Asynchronous Complex
 // Analytics): a process holds ONE fixed pool of workers, and everything the
 // runtime wants executed — a superstep's partition tasks, a one-shot
-// operator instance, a microstep poll — is submitted as a schedulable task.
+// operator instance, a barrier-free round poll — is submitted as a
+// schedulable task.
 // A resident session between rounds has simply nothing queued, so it
 // consumes zero worker time; a process can host arbitrarily many sessions
 // on a pool of any size ≥ 1.
@@ -46,12 +47,12 @@
 // wake side is race-free against a concurrent park — a Wake that arrives
 // while the task is still deciding to park is remembered as pending and
 // consumed by the Park call itself, so no wake-up is ever lost. The
-// executor's cooperative PollUnits — microstep chains, barrier-free local
-// rounds and pipelined streaming tasks — use this instead of idle polling:
-// a unit parks when its lanes are empty and is woken by whichever producer
-// or peer stages records for it (or observes global quiescence). Each
-// poll node owns one slot per partition for the plan schedule's whole
-// life.
+// executor's cooperative PollUnits — barrier-free local rounds (microstep
+// chains included) and pipelined streaming tasks — use this instead of
+// idle polling: a unit parks when its lanes are empty and is woken by
+// whichever producer or peer stages records for it (or observes global
+// quiescence). Each poll node owns one slot per partition for the plan
+// schedule's whole life.
 //
 // ## Queue-wait accounting
 //

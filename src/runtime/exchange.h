@@ -68,9 +68,9 @@
 //     - Deadlock safety is the *caller's* obligation: bounded lanes are
 //       only safe on edges whose consumer drains incrementally
 //       (DrainOpen-style), never on edges a consumer reads to
-//       end-of-stream port by port. The executor's ValidateRegionMode
-//       enforces exactly that (pipeline breakers and loop edges stay
-//       unbounded).
+//       end-of-stream port by port. The executor bounds exactly those
+//       edges, between two pipelined streaming tasks (pipeline breakers
+//       and loop edges stay unbounded).
 //
 // * Batch pool. Each lane owns a return queue of retired record buffers
 //   (the same SPSC structure, pointed the other way): ReadPhase recycles

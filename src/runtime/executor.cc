@@ -106,7 +106,6 @@ struct WorksetRuntime {
   KeySpec route_key;
   KeySpec solution_key;
   bool immediate_apply = false;
-  bool microstep = false;
   int max_iterations = 0;
 
   /// Superstep at which the current round started: the iteration cap and
@@ -120,16 +119,13 @@ struct WorksetRuntime {
   std::vector<std::unique_ptr<SolutionSetIndex>> index;
 
   /// The workset feedback channel (§5.3): feedback[p] is read by head
-  /// instance p (microstep unit p), with one lane per producing tail
-  /// instance (unit). Superstep loops delimit each W_{i+1} phase with the
-  /// tails' end-of-superstep markers; barrier-free and microstep loops
+  /// instance p (or partition p's fused chain), with one lane per
+  /// producing tail instance (chain). Superstep loops delimit each W_{i+1}
+  /// phase with the tails' end-of-superstep markers; barrier-free loops
   /// publish without markers and hold a coordinator credit per record in
   /// flight instead.
   std::vector<std::unique_ptr<Exchange>> feedback;
 
-  /// Barrier-free local rounds (sync_mode != kSuperstep) instead of
-  /// superstep waves.
-  bool barrier_free = false;
   struct Part {
     /// Records this partition popped from in-loop lanes during the local
     /// round that is currently executing (barrier-free only); their
@@ -143,10 +139,6 @@ struct WorksetRuntime {
     bool w0_pending = true;
   };
   std::vector<std::unique_ptr<Part>> parts;
-  /// Executed-local-rounds snapshot per partition at the current service
-  /// round's start; the per-round iteration cap counts against it.
-  /// Controller-written under round quiescence.
-  std::vector<int64_t> async_round_base;
   /// Wakes partition p's parked PollUnit (installed by the scheduler with
   /// the node's park slots; only called from inside the node's own units).
   std::function<void(int)> wake;
@@ -215,7 +207,7 @@ struct ExecContext {
   /// setup: != kSuperstep implies every workset iteration qualifies).
   SyncMode sync_mode = SyncMode::kSuperstep;
   int staleness_bound = 0;  ///< local rounds ahead allowed; 0 = unbounded
-  /// Scheduling of non-loop regions (validated by ValidateRegionMode):
+  /// Scheduling of non-loop regions:
   /// kPipelined runs streaming tasks as cooperative polling units over
   /// bounded exchange lanes; kMaterialize keeps one-shot region barriers.
   RegionMode region_mode = RegionMode::kMaterialize;
@@ -359,8 +351,6 @@ class TaskInstance {
 
   /// The operator's (or iteration role's) program.
   Program MakeProgram();
-
-  int partition() const { return partition_; }
 
   /// Barrier-free scheduling probe: does any in-loop input currently hold
   /// an envelope? (Instantaneous; the quiescence credits, not this probe,
@@ -969,13 +959,13 @@ Program TaskInstance::MakeProgram() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused asynchronous microstep engine (Section 5.2 / 5.3)
+// Fused microstep chain (Section 5.2)
 // ---------------------------------------------------------------------------
 
 /// One fused pipeline step. The whole dynamic path of a microstep-capable
 /// iteration runs inside a partition's chain, so solution updates are
 /// applied by the same logical task that owns the partition's index — no
-/// locking on the index.
+/// locking on the index, and no lane hop between the steps.
 struct ChainStep {
   enum class Kind { kRecordOp, kSolutionJoin, kMatchConst };
   Kind kind;
@@ -985,6 +975,169 @@ struct ChainStep {
   int const_port = -1;
   KeySpec probe_key;
   bool const_is_left = false;
+};
+
+/// Partition `partition`'s fused chain of a microstep iteration. Every
+/// record runs the whole chain before the next one is read, so each ∪̇
+/// update is visible to the next microstep (MICRO of Table 1). The chain
+/// is the one-stage pipeline of its partition's AsyncRoundUnit (staleness
+/// bound 0), which owns the credit return, the quiescence exit, the peer
+/// wake and the iteration cap, exactly as for an async loop.
+class FusedChain {
+ public:
+  FusedChain(ExecContext* ctx, WorksetRuntime* rt, int partition,
+             std::vector<const PhysicalTask*> tasks, const PhysicalTask* head,
+             const PhysicalTask* delta_apply)
+      : ctx_(ctx),
+        rt_(*rt),
+        partition_(partition),
+        tasks_(std::move(tasks)),
+        head_(head),
+        delta_apply_(delta_apply),
+        route_(MakeFeedbackPort(*rt, partition, &ctx->metrics)) {
+    InstallCreditHooks(route_.get(), rt, partition);
+  }
+
+  /// One local round. Round 0 builds the constant match tables and loads
+  /// S_0. While W_0 is pending, the head's W_0 port runs through the chain
+  /// on the partition's startup credit. Every round drains the feedback
+  /// lane through the chain and publishes the children, so the popped
+  /// records' credits can return at the end of the round.
+  void Round(int64_t round) {
+    if (round == 0) Build();
+    const auto run = [this](const RecordBatch& batch) {
+      for (const Record& rec : batch) Run(0, rec);
+    };
+    WorksetRuntime::Part& part = *rt_.parts[partition_];
+    if (part.w0_pending) {
+      Input(head_, 0)->ReadPhase(MarkerKind::kEndStream, run);
+      part.w0_pending = false;
+    }
+    part.popped_this_round += rt_.feedback[partition_]->DrainOpen(run);
+    route_->Flush();
+  }
+
+  /// Emits this partition's converged solution set through the delta-apply
+  /// task's output ports (its downstream consumers expect P producers).
+  void EmitResult() {
+    const auto outputs = MakePlanOutputs(ctx_, *delta_apply_, partition_);
+    PortsCollector collector(RawPorts(outputs));
+    rt_.index[partition_]->ForEach(
+        [&](const Record& rec) { collector.Emit(rec); });
+    for (const auto& port : outputs) port->SendMarker(MarkerKind::kEndStream);
+  }
+
+ private:
+  Exchange* Input(const PhysicalTask* task, int port) {
+    return ctx_->channels[task->id][port][partition_].get();
+  }
+
+  /// Reads an external port of a chain task to its end of stream.
+  template <typename Fn>
+  void ReadExternal(const PhysicalTask* task, int port, Fn&& fn) {
+    Input(task, port)->ReadPhase(MarkerKind::kEndStream,
+                                 [&](const RecordBatch& batch) {
+                                   for (const Record& rec : batch) fn(rec);
+                                 });
+  }
+
+  void Build() {
+    for (const PhysicalTask* task : tasks_) {
+      ChainStep step;
+      step.task = task;
+      switch (task->kind) {
+        case OperatorKind::kMap:
+        case OperatorKind::kFilter:
+          step.kind = ChainStep::Kind::kRecordOp;
+          break;
+        case OperatorKind::kMatch:
+          if (task->role == TaskRole::kSolutionJoin) {
+            step.kind = ChainStep::Kind::kSolutionJoin;
+            step.probe_key = task->solution_side == 0 ? task->key_right
+                                                      : task->key_left;
+            SolutionSetIndex* index = rt_.index[partition_].get();
+            ReadExternal(task, task->solution_side,
+                         [&](const Record& rec) { index->Apply(rec); });
+            index->ResetStats();  // building S_0 is not iteration work
+          } else {
+            step.kind = ChainStep::Kind::kMatchConst;
+            // The dynamic input is the one fed by the previous chain task.
+            const int const_port =
+                IsLoopTask(ctx_->task(task->inputs[0].producer)) ? 1 : 0;
+            step.const_port = const_port;
+            step.const_is_left = const_port == 0;
+            step.probe_key =
+                const_port == 0 ? task->key_right : task->key_left;
+            step.table = std::make_unique<JoinHashTable>(
+                const_port == 0 ? task->key_left : task->key_right);
+            ReadExternal(task, const_port,
+                         [&](const Record& rec) { step.table->Insert(rec); });
+          }
+          break;
+        default:
+          SFDF_CHECK(false) << "operator not fusable into a microstep chain: "
+                            << OperatorKindName(task->kind);
+      }
+      chain_.push_back(std::move(step));
+    }
+  }
+
+  void Run(size_t step_index, const Record& rec) {
+    if (step_index == chain_.size()) {
+      route_->Send(rec);  // a W_{i+1} element
+      return;
+    }
+    ChainStep& step = chain_[step_index];
+    class NextCollector : public Collector {
+     public:
+      NextCollector(FusedChain* self, size_t next) : self_(self), next_(next) {}
+      void Emit(const Record& rec) override { self_->Run(next_, rec); }
+
+     private:
+      FusedChain* self_;
+      size_t next_;
+    } next(this, step_index + 1);
+
+    switch (step.kind) {
+      case ChainStep::Kind::kRecordOp:
+        ApplyRecordOp(*step.task, rec, &next);
+        break;
+      case ChainStep::Kind::kSolutionJoin: {
+        SolutionSetIndex* index = rt_.index[partition_].get();
+        const Record* s_rec = index->Lookup(rec, step.probe_key);
+        if (s_rec == nullptr) return;
+        // Immediate ∪̇: the update takes effect before the next microstep;
+        // discarded records do not propagate.
+        ApplyCollector apply(index, &next, /*immediate=*/true);
+        if (step.task->solution_side == 0) {
+          step.task->match_udf(*s_rec, rec, &apply);
+        } else {
+          step.task->match_udf(rec, *s_rec, &apply);
+        }
+        break;
+      }
+      case ChainStep::Kind::kMatchConst:
+        step.table->Probe(rec, step.probe_key, [&](const Record& build) {
+          if (step.const_is_left) {
+            step.task->match_udf(build, rec, &next);
+          } else {
+            step.task->match_udf(rec, build, &next);
+          }
+        });
+        break;
+    }
+  }
+
+  ExecContext* ctx_;
+  WorksetRuntime& rt_;
+  const int partition_;
+  const std::vector<const PhysicalTask*> tasks_;
+  const PhysicalTask* head_;
+  const PhysicalTask* delta_apply_;
+  std::vector<ChainStep> chain_;
+  /// Routes end-of-chain records into the feedback exchanges; batches are
+  /// flushed once per round (and whenever one fills up).
+  std::unique_ptr<OutputPort> route_;
 };
 
 // ---------------------------------------------------------------------------
@@ -999,18 +1152,18 @@ enum class PollStatus : uint8_t {
   kDone,    ///< finished (for this round) — count the unit out
 };
 
-/// One partition of a cooperative polling node (runtime v3): a fused
-/// microstep chain, a barrier-free local-round loop or a pipelined
-/// streaming task. Instead of a dedicated thread blocked on its input, the
-/// unit advances in short Step() calls on the shared engine pool, and
-/// PlanSchedule's one driver acts on the status: resubmit on kWorked and
-/// kYield, park on the unit's engine slot on kIdle, count the unit out on
-/// kDone. A unit returns kIdle only while it has an obligated waker — a
-/// producer that still publishes into its lanes, or a peer that will reach
-/// quiescence or advance the staleness minimum — and the wake-pending
-/// handshake in Engine::Park/Wake closes the race between the emptiness
-/// check inside Step() and the park that follows it. Liveness so needs
-/// only one pool worker.
+/// One partition of a cooperative polling node (runtime v3): a
+/// barrier-free loop's local rounds (AsyncRoundUnit) or a pipelined
+/// streaming task (PipelinedInstance). Instead of a dedicated thread
+/// blocked on its input, the unit advances in short Step() calls on the
+/// shared engine pool, and PlanSchedule's one driver acts on the status:
+/// resubmit on kWorked and kYield, park on the unit's engine slot on
+/// kIdle, count the unit out on kDone. A unit returns kIdle only while it
+/// has an obligated waker — a producer that still publishes into its
+/// lanes, or a peer that will reach quiescence or advance the staleness
+/// minimum — and the wake-pending handshake in Engine::Park/Wake closes
+/// the race between the emptiness check inside Step() and the park that
+/// follows it. Liveness so needs only one pool worker.
 class PollUnit {
  public:
   explicit PollUnit(int partition) : partition_(partition) {}
@@ -1025,229 +1178,6 @@ class PollUnit {
 
  protected:
   const int partition_;
-};
-
-/// Wakes every partition of `rt`'s loop but `self`. Peers parked on empty
-/// lanes can only learn from `self` that the loop terminated or that the
-/// staleness minimum advanced; units broadcast inside Step(), so every
-/// wake lands before the driver counts the unit out.
-void WakePeers(WorksetRuntime& rt, int self) {
-  for (int p = 0; p < static_cast<int>(rt.parts.size()); ++p) {
-    if (p != self) rt.wake(p);
-  }
-}
-
-/// Microstep unit (§5.2): Step() drains whatever its partition's feedback
-/// exchange holds and runs the fused chain (kWorked). With empty lanes but
-/// records still in flight elsewhere it returns kIdle; a peer publishing
-/// records for this partition (the feedback port's credit hooks) wakes it.
-/// Once the coordinator's credit counter is quiescent the unit emits its
-/// partition's converged solution, wakes its parked peers so they re-check
-/// the credits and finish too, and returns kDone.
-class MicrostepInstance : public PollUnit {
- public:
-  MicrostepInstance(ExecContext* ctx, int iteration, int partition,
-                    std::vector<const PhysicalTask*> chain_tasks,
-                    const PhysicalTask* delta_apply_task)
-      : PollUnit(partition),
-        ctx_(ctx),
-        rt_(*ctx->workset[iteration]),
-        chain_tasks_(std::move(chain_tasks)),
-        delta_apply_task_(delta_apply_task),
-        route_(MakeFeedbackPort(rt_, partition, &ctx->metrics)) {
-    InstallCreditHooks(route_.get(), &rt_, partition_);
-  }
-
-  PollStatus Step() override {
-    SuperstepCoordinator* co = rt_.coordinator.get();
-    if (!setup_done_) {
-      BuildChain();
-      LoadInitialState();
-      co->ReleaseStartupCredit();
-      setup_done_ = true;
-    }
-    const int64_t popped = rt_.feedback[partition_]->DrainOpen(
-        [&](const RecordBatch& batch) {
-          for (const Record& rec : batch) RunChain(0, rec);
-        });
-    if (popped > 0) {
-      // Return the popped records' credits only after their children are
-      // visible (and credited).
-      route_->Flush();
-      co->CreditProcessed(popped);
-      return PollStatus::kWorked;
-    }
-    if (co->Quiescent()) {
-      EmitResult();
-      WakePeers(rt_, partition_);
-      return PollStatus::kDone;
-    }
-    // Empty lanes but records are still in flight on other partitions.
-    return PollStatus::kIdle;
-  }
-
- private:
-  Exchange* InputOf(const PhysicalTask* task, int port) {
-    return ctx_->channels[task->id][port][partition_].get();
-  }
-
-  void BuildChain() {
-    for (const PhysicalTask* task : chain_tasks_) {
-      ChainStep step;
-      step.task = task;
-      switch (task->kind) {
-        case OperatorKind::kMap:
-        case OperatorKind::kFilter:
-          step.kind = ChainStep::Kind::kRecordOp;
-          break;
-        case OperatorKind::kMatch:
-          if (task->role == TaskRole::kSolutionJoin) {
-            step.kind = ChainStep::Kind::kSolutionJoin;
-            step.probe_key = task->solution_side == 0 ? task->key_right
-                                                      : task->key_left;
-          } else {
-            step.kind = ChainStep::Kind::kMatchConst;
-            // The dynamic input is the one fed by the previous chain task.
-            int const_port =
-                IsLoopTask(ctx_->task(task->inputs[0].producer)) ? 1 : 0;
-            step.const_port = const_port;
-            step.const_is_left = const_port == 0;
-            const KeySpec& build_key =
-                const_port == 0 ? task->key_left : task->key_right;
-            step.probe_key =
-                const_port == 0 ? task->key_right : task->key_left;
-            step.table = std::make_unique<JoinHashTable>(build_key);
-            InputOf(task, const_port)
-                ->ReadPhase(MarkerKind::kEndStream,
-                            [&](const RecordBatch& batch) {
-                              for (const Record& rec : batch) {
-                                step.table->Insert(rec);
-                              }
-                            });
-          }
-          break;
-        default:
-          SFDF_CHECK(false) << "operator not fusable into a microstep chain: "
-                            << OperatorKindName(task->kind);
-      }
-      chain_.push_back(std::move(step));
-    }
-  }
-
-  void LoadInitialState() {
-    // Build the solution index from the initial-solution port of the join.
-    const PhysicalTask* join = nullptr;
-    for (const ChainStep& step : chain_) {
-      if (step.kind == ChainStep::Kind::kSolutionJoin) join = step.task;
-    }
-    SFDF_CHECK(join != nullptr);
-    SolutionSetIndex* index = rt_.index[partition_].get();
-    InputOf(join, join->solution_side)
-        ->ReadPhase(MarkerKind::kEndStream, [&](const RecordBatch& batch) {
-          for (const Record& rec : batch) index->Apply(rec);
-        });
-    index->ResetStats();  // building S_0 is not iteration work
-    // Load the initial workset into this partition's queue. The head task's
-    // port 0 carries W_0, already routed by the workset key.
-    const PhysicalTask* head = nullptr;
-    for (const PhysicalTask& task : ctx_->plan->tasks) {
-      if (task.role == TaskRole::kWorksetHead &&
-          task.workset_iteration == chain_tasks_.front()->workset_iteration) {
-        head = &task;
-      }
-    }
-    SFDF_CHECK(head != nullptr);
-    // W_0 enters this unit's own lane of its feedback exchange, credited
-    // like any fed-back record (this unit is that lane's only producer).
-    Exchange* own = rt_.feedback[partition_].get();
-    InputOf(head, 0)->ReadPhase(
-        MarkerKind::kEndStream, [&](const RecordBatch& batch) {
-          if (batch.empty()) return;
-          RecordBatch copy = own->AcquireBatch(partition_);
-          for (const Record& rec : batch) copy.Add(rec);
-          rt_.coordinator->CreditEnqueued(static_cast<int64_t>(batch.size()));
-          own->Push(partition_, Envelope{MarkerKind::kData, std::move(copy)});
-        });
-  }
-
-  void RunChain(size_t step_index, const Record& rec) {
-    if (step_index == chain_.size()) {
-      route_->Send(rec);  // a W_{i+1} element
-      return;
-    }
-    ChainStep& step = chain_[step_index];
-    class NextCollector : public Collector {
-     public:
-      NextCollector(MicrostepInstance* self, size_t next)
-          : self_(self), next_(next) {}
-      void Emit(const Record& rec) override { self_->RunChain(next_, rec); }
-
-     private:
-      MicrostepInstance* self_;
-      size_t next_;
-    } next(this, step_index + 1);
-
-    switch (step.kind) {
-      case ChainStep::Kind::kRecordOp:
-        ApplyRecordOp(*step.task, rec, &next);
-        break;
-      case ChainStep::Kind::kSolutionJoin: {
-        SolutionSetIndex* index = rt_.index[partition_].get();
-        const Record* s_rec = index->Lookup(rec, step.probe_key);
-        if (s_rec == nullptr) return;
-        // Immediate ∪̇: the update takes effect before the next microstep
-        // (MICRO of Table 1); discarded records do not propagate.
-        class MicroApply : public Collector {
-         public:
-          MicroApply(SolutionSetIndex* index, Collector* next)
-              : index_(index), next_(next) {}
-          void Emit(const Record& rec) override {
-            if (index_->Apply(rec)) next_->Emit(rec);
-          }
-
-         private:
-          SolutionSetIndex* index_;
-          Collector* next_;
-        } apply(index, &next);
-        if (step.task->solution_side == 0) {
-          step.task->match_udf(*s_rec, rec, &apply);
-        } else {
-          step.task->match_udf(rec, *s_rec, &apply);
-        }
-        break;
-      }
-      case ChainStep::Kind::kMatchConst: {
-        step.table->Probe(rec, step.probe_key, [&](const Record& build) {
-          if (step.const_is_left) {
-            step.task->match_udf(build, rec, &next);
-          } else {
-            step.task->match_udf(rec, build, &next);
-          }
-        });
-        break;
-      }
-    }
-  }
-
-  void EmitResult() {
-    // Emit this partition's converged solution set through the delta-apply
-    // task's output ports (its downstream consumers expect P producers).
-    const auto outputs = MakePlanOutputs(ctx_, *delta_apply_task_, partition_);
-    PortsCollector collector(RawPorts(outputs));
-    rt_.index[partition_]->ForEach(
-        [&](const Record& rec) { collector.Emit(rec); });
-    for (const auto& port : outputs) port->SendMarker(MarkerKind::kEndStream);
-  }
-
-  ExecContext* ctx_;
-  WorksetRuntime& rt_;
-  std::vector<const PhysicalTask*> chain_tasks_;
-  const PhysicalTask* delta_apply_task_;
-  std::vector<ChainStep> chain_;
-  /// Routes end-of-chain records into the feedback exchanges; batches are
-  /// flushed once per Step (and whenever one fills up).
-  std::unique_ptr<OutputPort> route_;
-  bool setup_done_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -1547,6 +1477,14 @@ Status ValidateExecutionOptions(const ExecutionOptions& options) {
         "got " +
         std::to_string(options.checkpoint_superstep));
   }
+  if (options.region_mode == RegionMode::kPipelined &&
+      options.pipeline_lane_capacity < 1) {
+    return Status::InvalidArgument(
+        "ExecutionOptions.pipeline_lane_capacity must be >= 1 under "
+        "region_mode pipelined (it is the per-lane flow-control window in "
+        "envelopes), got " +
+        std::to_string(options.pipeline_lane_capacity));
+  }
   if (options.sync_mode == SyncMode::kBoundedStale &&
       options.staleness_bound < 1) {
     return Status::InvalidArgument(
@@ -1606,57 +1544,6 @@ Status ValidateSyncMode(const PhysicalPlan& plan,
   return Status::OK();
 }
 
-/// Plan-level gate for pipelined region execution. The mode itself accepts
-/// any plan — loop regions and pipeline breakers simply keep materialized
-/// edges — but the per-consumer capacity overrides must name tasks whose
-/// input edges can actually be bounded: a loop task's exchanges carry the
-/// multi-marker superstep protocol (a bounded lane could deadlock a wave
-/// mid-superstep), and a breaker materializes an input before producing,
-/// so a bounded edge into it could never drain.
-Status ValidateRegionMode(const PhysicalPlan& plan,
-                          const ExecutionOptions& options) {
-  if (options.region_mode == RegionMode::kMaterialize) return Status::OK();
-  if (options.pipeline_lane_capacity < 1) {
-    return Status::InvalidArgument(
-        "ExecutionOptions.pipeline_lane_capacity must be >= 1 under "
-        "region_mode pipelined (it is the per-lane flow-control window in "
-        "envelopes), got " +
-        std::to_string(options.pipeline_lane_capacity));
-  }
-  for (const auto& [name, capacity] : options.pipeline_capacity_overrides) {
-    if (capacity < 1) {
-      return Status::InvalidArgument(
-          "pipeline_capacity_overrides[\"" + name + "\"] must be >= 1, got " +
-          std::to_string(capacity));
-    }
-    bool found = false;
-    for (const PhysicalTask& task : plan.tasks) {
-      if (task.name != name) continue;
-      found = true;
-      if (IsLoopTask(task)) {
-        return Status::InvalidArgument(
-            "pipeline_capacity_overrides[\"" + name +
-            "\"] names a loop task — loop exchanges keep superstep phase "
-            "semantics and are never bounded; pipelining applies to "
-            "non-loop edges only");
-      }
-      if (!IsStreamingKind(task.kind)) {
-        return Status::InvalidArgument(
-            "pipeline_capacity_overrides[\"" + name +
-            "\"] names a pipeline breaker (" +
-            std::string(OperatorKindName(task.kind)) +
-            ") — it materializes its input before producing, so its input "
-            "edges stay unbounded");
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(
-          "pipeline_capacity_overrides names unknown task \"" + name + "\"");
-    }
-  }
-  return Status::OK();
-}
-
 /// One-shot setup: validates the plan and builds the channels, consumer
 /// index, iteration runtimes and sink slots for degree-of-parallelism P.
 /// Shared between Run (setup → schedule → tear down) and StartSession
@@ -1707,15 +1594,11 @@ Status SetupContext(const PhysicalPlan& plan, const ExecutionOptions& options,
   if (ctx.region_mode == RegionMode::kPipelined) {
     for (const PhysicalTask& task : plan.tasks) {
       if (!IsPipelinedTask(task)) continue;
-      int64_t capacity = options.pipeline_lane_capacity;
-      const auto it = options.pipeline_capacity_overrides.find(task.name);
-      if (it != options.pipeline_capacity_overrides.end()) {
-        capacity = it->second;
-      }
       for (size_t port = 0; port < task.inputs.size(); ++port) {
         if (!IsPipelinedTask(plan.tasks[task.inputs[port].producer])) continue;
         for (int p = 0; p < P; ++p) {
-          ctx.channels[task.id][port][p]->set_lane_capacity(capacity);
+          ctx.channels[task.id][port][p]->set_lane_capacity(
+              options.pipeline_lane_capacity);
         }
       }
     }
@@ -1750,7 +1633,6 @@ Status SetupContext(const PhysicalPlan& plan, const ExecutionOptions& options,
     rt->route_key = spec.workset_route_key;
     rt->solution_key = spec.solution_key;
     rt->immediate_apply = spec.immediate_apply;
-    rt->microstep = spec.microstep;
     rt->max_iterations = spec.max_iterations;
     rt->metrics = &ctx.metrics;
     rt->record_stats = ctx.record_stats;
@@ -1765,19 +1647,14 @@ Status SetupContext(const PhysicalPlan& plan, const ExecutionOptions& options,
     WorksetRuntime* raw = rt.get();
     rt->coordinator = std::make_unique<SuperstepCoordinator>(
         loop_tasks_ws[i] * P, MakeWorksetDecide(&ctx, raw));
-    if (spec.microstep) {
-      // Microsteps never meet at the gate: termination is quiescence of
-      // the coordinator's credit counter (no staleness bound).
-      rt->report.ran_microsteps = true;
-      rt->coordinator->EnableBarrierFree(P, 0);
-    } else if (ctx.sync_mode != SyncMode::kSuperstep) {
+    if (spec.microstep || ctx.sync_mode != SyncMode::kSuperstep) {
       // Barrier-free: local rounds bookkept by the coordinator's
       // quiescence/staleness side. ValidateSyncMode vouched for the plan
-      // (idempotent-safe ∪̇, no bulk, no microstep).
-      rt->barrier_free = true;
-      rt->report.ran_async = true;
+      // (idempotent-safe ∪̇, no bulk) and keeps microstep iterations at
+      // sync_mode superstep, so their staleness bound is 0.
+      rt->report.ran_microsteps = spec.microstep;
+      rt->report.ran_async = !spec.microstep;
       rt->coordinator->EnableBarrierFree(P, ctx.staleness_bound);
-      rt->async_round_base.assign(static_cast<size_t>(P), 0);
     }
     ctx.workset.push_back(std::move(rt));
   }
@@ -1842,13 +1719,9 @@ ExecutionResult AssembleResult(const PhysicalPlan& plan, ExecContext* ctx_ptr,
   }
   for (auto& rt : ctx.workset) {
     const SuperstepCoordinator& co = *rt->coordinator;
-    if (rt->microstep) {
-      rt->report.iterations = 1;
-      rt->report.converged = true;
-    }
-    // Microsteps and local rounds have no global superstep rows; synthesize
-    // one from the credit counter (a barrier-free report's iteration and
-    // convergence fields were filled by the round's last-finishing unit).
+    // Local rounds have no global superstep rows; synthesize one from the
+    // credit counter (a barrier-free report's iteration and convergence
+    // fields were filled by the round's last-finishing unit).
     if (co.barrier_free() && rt->record_stats) {
       SuperstepStats stats;
       stats.superstep = 0;
@@ -1863,7 +1736,7 @@ ExecutionResult AssembleResult(const PhysicalPlan& plan, ExecContext* ctx_ptr,
       stats.delta_discarded = discarded;
       rt->report.supersteps.push_back(stats);
     }
-    if (rt->barrier_free) {
+    if (co.barrier_free()) {
       for (int p = 0; p < P; ++p) {
         result.async_local_rounds.push_back(co.rounds_executed(p));
       }
@@ -1880,20 +1753,25 @@ ExecutionResult AssembleResult(const PhysicalPlan& plan, ExecContext* ctx_ptr,
 // PlanSchedule: dataflow-topological scheduling on the engine
 // ---------------------------------------------------------------------------
 
-/// One loop task instance of a superstep wave.
+/// One partition's program of a loop node: a loop task instance of a
+/// superstep wave or barrier-free pipeline, or (instance == null) a
+/// microstep iteration's fused chain.
 struct LoopUnit {
   TaskInstance* instance = nullptr;
+  int partition = 0;
   Program program;
 };
 
-/// Barrier-free local-round unit (sync_mode != kSuperstep): Step() runs
-/// its partition's whole loop pipeline (head → body → tail, stage order)
-/// as one local round over whatever the lanes currently hold and returns
-/// kWorked. With nothing queued it votes quiescent and returns kIdle, as
-/// it does while bounded staleness holds it back. Whoever observes
-/// quiescence or trips the per-round iteration cap terminates the round
-/// for everyone, wakes every peer and returns kDone; each woken peer then
-/// sees the terminated flag and returns kDone as well.
+/// Barrier-free local-round unit, the one loop unit of every iteration
+/// that runs without the arrival gate (sync_mode != kSuperstep, and every
+/// microstep iteration). Step() runs its partition's whole loop pipeline
+/// (head → body → tail in stage order, or the fused chain) as one local
+/// round over whatever the lanes currently hold and returns kWorked. With
+/// nothing queued it votes quiescent and returns kIdle, as it does while
+/// bounded staleness holds it back. Whoever observes quiescence or trips
+/// the per-round iteration cap terminates the round for everyone, wakes
+/// every peer and returns kDone; each woken peer then sees the terminated
+/// flag and returns kDone as well.
 class AsyncRoundUnit : public PollUnit {
  public:
   AsyncRoundUnit(WorksetRuntime* rt, int partition,
@@ -1913,7 +1791,8 @@ class AsyncRoundUnit : public PollUnit {
 
     bool has_work = ap.w0_pending || rt_.feedback[p]->HasQueued();
     for (size_t i = 0; !has_work && i < pipeline_.size(); ++i) {
-      has_work = pipeline_[i]->instance->AnyLoopInputReadable();
+      TaskInstance* instance = pipeline_[i]->instance;
+      has_work = instance != nullptr && instance->AnyLoopInputReadable();
     }
     if (!has_work) {
       if (co->Quiescent()) {
@@ -1921,7 +1800,7 @@ class AsyncRoundUnit : public PollUnit {
         // the iteration for everyone (the decide step of the barrier-free
         // protocol).
         co->FinishBarrierFree(/*capped=*/false);
-        WakePeers(rt_, p);
+        WakePeers();
         return PollStatus::kDone;
       }
       co->CastQuiescentVote(p);
@@ -1930,7 +1809,7 @@ class AsyncRoundUnit : public PollUnit {
       // the bump advanced the minimum, staleness-parked peers must hear
       // about it — they gate on the minimum we just moved.
       const bool advanced = co->SyncIdleRound(p);
-      if (advanced && co->staleness_bound() > 0) WakePeers(rt_, p);
+      if (advanced && co->staleness_bound() > 0) WakePeers();
       static const uint16_t kIdlePark = trace::RegisterName("async.idle.park");
       trace::Instant(kIdlePark, p);
       return PollStatus::kIdle;
@@ -1968,19 +1847,28 @@ class AsyncRoundUnit : public PollUnit {
     if (had_w0) co->ReleaseStartupCredit();
     co->AdvanceLocalRound(p);
 
-    if (co->rounds_executed(p) - rt_.async_round_base[p] >=
-        static_cast<int64_t>(rt_.max_iterations)) {
+    if (co->RoundLocalRounds(p) >= static_cast<int64_t>(rt_.max_iterations)) {
       // Per-round iteration cap: stop everyone; queued leftovers keep
       // their credits and continue in the next service round.
       co->FinishBarrierFree(/*capped=*/true);
-      WakePeers(rt_, p);
+      WakePeers();
       return PollStatus::kDone;
     }
-    if (co->staleness_bound() > 0) WakePeers(rt_, p);
+    if (co->staleness_bound() > 0) WakePeers();
     return PollStatus::kWorked;
   }
 
  private:
+  /// Wakes every other partition of the loop. Peers parked on empty lanes
+  /// can only learn from this one that the loop terminated or that the
+  /// staleness minimum advanced; the broadcast runs inside Step(), so every
+  /// wake lands before the driver counts the unit out.
+  void WakePeers() {
+    for (int p = 0; p < static_cast<int>(rt_.parts.size()); ++p) {
+      if (p != partition_) rt_.wake(p);
+    }
+  }
+
   WorksetRuntime& rt_;
   /// Views into the node's wave stages, in stage order (same-depth tasks
   /// are mutually independent).
@@ -1997,9 +1885,9 @@ class AsyncRoundUnit : public PollUnit {
 ///           without ever blocking).
 ///   kWave — one superstep iteration: self-scheduling superstep waves
 ///           (see ScheduleWave); completes after its final flush.
-///   kPoll — P cooperative PollUnits under one driver (RunPoll): a fused
-///           microstep iteration, a barrier-free workset iteration
-///           (sync_mode != superstep; its units run once per round), or a
+///   kPoll — P cooperative PollUnits under one driver (RunPoll): a
+///           barrier-free workset iteration (sync_mode != superstep, or a
+///           microstep iteration; its units run once per round), or a
 ///           streaming non-loop task under region_mode kPipelined. A
 ///           pipelined node registers no region predecessors: its units
 ///           start at Start() and park until data arrives.
@@ -2013,13 +1901,14 @@ struct SchedNode {
   std::atomic<int> pending_deps{0};
   /// kTask, kPoll: units still running (in the current round).
   std::atomic<int> units_remaining{0};
-  /// kWave, barrier-free kPoll (null for microsteps).
+  /// kWave, barrier-free kPoll.
   SuperstepCoordinator* coordinator = nullptr;
   /// Wave stages: the loop units grouped by in-loop dataflow depth. Stage
   /// k+1 is enqueued once stage k fully finished, so every in-loop
   /// ReadPhase finds its producers' superstep phase already delivered. A
-  /// barrier-free node's units run the same stages as local rounds, and
-  /// its final flush and shutdown run off them unchanged.
+  /// barrier-free node's units run the same stages as local rounds (a
+  /// microstep node has one stage, its fused chains), and its final flush
+  /// and shutdown run off them unchanged.
   std::vector<std::vector<LoopUnit>> stages;
   std::vector<std::unique_ptr<std::atomic<int>>> stage_remaining;
   /// Resident session iteration: a terminated wave (or barrier-free round)
@@ -2164,7 +2053,7 @@ class PlanSchedule {
       if (task.workset_iteration >= 0 &&
           plan_->workset_iterations[task.workset_iteration].microstep &&
           IsLoopTask(task)) {
-        continue;  // fused into MicrostepInstance units
+        continue;  // fused into the iteration's chain programs
       }
       if (ctx_->region_mode == RegionMode::kPipelined &&
           IsPipelinedTask(task)) {
@@ -2193,12 +2082,11 @@ class PlanSchedule {
       bulk_node[i] = id;
     }
     for (size_t i = 0; i < plan_->workset_iterations.size(); ++i) {
-      const bool micro = plan_->workset_iterations[i].microstep;
-      int id = add_node(micro || ctx_->workset[i]->barrier_free
+      int id = add_node(ctx_->workset[i]->coordinator->barrier_free()
                             ? SchedNode::Kind::kPoll
                             : SchedNode::Kind::kWave);
       nodes_[id]->iteration = static_cast<int>(i);
-      if (!micro) nodes_[id]->coordinator = ctx_->workset[i]->coordinator.get();
+      nodes_[id]->coordinator = ctx_->workset[i]->coordinator.get();
       ws_node[i] = id;
     }
     node_of_task_.assign(plan_->tasks.size(), -1);
@@ -2290,23 +2178,38 @@ class PlanSchedule {
       }
       return;
     }
-    // Workset iteration: the feedback ports' credit hooks and WakePeers
-    // wake a partition through its loop runtime.
-    ctx_->workset[node->iteration]->wake = [this, node](int target) {
+    // Barrier-free workset iteration: the feedback ports' credit hooks and
+    // the round units' peer wakes reach a partition through its runtime.
+    WorksetRuntime* rt = ctx_->workset[node->iteration].get();
+    rt->wake = [this, node](int target) {
       engine_->Wake(node->park_slots[static_cast<size_t>(target)]);
     };
-    if (node->coordinator == nullptr) {
-      BuildMicroUnits(node);
+    if (plan_->workset_iterations[node->iteration].microstep) {
+      BuildChainStage(node);
     } else {
-      BuildAsyncUnits(node);
+      BuildWave(node);
+    }
+    // Stages outer, partitions inner: each partition's pipeline stays in
+    // stage order.
+    std::vector<std::vector<LoopUnit*>> pipelines(P);
+    for (auto& stage : node->stages) {
+      for (LoopUnit& unit : stage) {
+        pipelines[unit.partition].push_back(&unit);
+        if (unit.instance != nullptr) unit.instance->InstallAsyncHooks();
+      }
+    }
+    for (int p = 0; p < P; ++p) {
+      node->units.push_back(
+          std::make_unique<AsyncRoundUnit>(rt, p, std::move(pipelines[p])));
     }
   }
 
-  void BuildMicroUnits(SchedNode* node) {
+  /// A microstep iteration's one stage: per partition, the fused chain of
+  /// its dynamic body tasks in dataflow order, starting from the head's
+  /// unique consumer.
+  void BuildChainStage(SchedNode* node) {
     const PhysicalWorksetIteration& spec =
         plan_->workset_iterations[node->iteration];
-    // Chain = the dynamic body tasks in dataflow order, starting from the
-    // head's unique consumer.
     std::vector<const PhysicalTask*> chain;
     int cursor = -1;
     for (const auto& [consumer, port] : ctx_->consumer_edges[spec.head_task]) {
@@ -2327,28 +2230,17 @@ class PlanSchedule {
       }
       cursor = next;
     }
-    const PhysicalTask* delta_apply = &ctx_->task(spec.delta_apply_task);
-    for (int p = 0; p < ctx_->parallelism; ++p) {
-      node->units.push_back(std::make_unique<MicrostepInstance>(
-          ctx_, node->iteration, p, chain, delta_apply));
-    }
-  }
-
-  void BuildAsyncUnits(SchedNode* node) {
-    BuildWave(node);
     WorksetRuntime* rt = ctx_->workset[node->iteration].get();
-    // Stages outer, partitions inner: each partition's pipeline stays in
-    // stage order.
-    std::vector<std::vector<LoopUnit*>> pipelines(ctx_->parallelism);
-    for (auto& stage : node->stages) {
-      for (LoopUnit& unit : stage) {
-        pipelines[unit.instance->partition()].push_back(&unit);
-        unit.instance->InstallAsyncHooks();
-      }
-    }
+    const PhysicalTask* head = &ctx_->task(spec.head_task);
+    const PhysicalTask* delta_apply = &ctx_->task(spec.delta_apply_task);
+    node->stages.assign(1, {});
     for (int p = 0; p < ctx_->parallelism; ++p) {
-      node->units.push_back(
-          std::make_unique<AsyncRoundUnit>(rt, p, std::move(pipelines[p])));
+      auto fused = std::make_shared<FusedChain>(ctx_, rt, p, chain, head,
+                                                delta_apply);
+      Program program;
+      program.body = [fused](int64_t round) { fused->Round(round); };
+      program.final_flush = [fused] { fused->EmitResult(); };
+      node->stages[0].push_back(LoopUnit{nullptr, p, std::move(program)});
     }
   }
 
@@ -2423,7 +2315,7 @@ class PlanSchedule {
       for (int p = 0; p < P; ++p) {
         TaskInstance* inst = instance(task->id, p);
         node->stages[depth[task->id]].push_back(
-            LoopUnit{inst, inst->MakeProgram()});
+            LoopUnit{inst, p, inst->MakeProgram()});
       }
     }
     node->stage_remaining.clear();
@@ -2560,14 +2452,13 @@ class PlanSchedule {
   /// Runs in the poll node's last unit out (every peer's writes are ordered
   /// before it by the acq_rel countdown).
   void OnPollUnitsDone(SchedNode* node) {
-    if (node->coordinator == nullptr) {
-      NodeComplete(node);  // microstep iteration or pipelined task
+    if (node->task_id >= 0) {
+      NodeComplete(node);  // pipelined task
       return;
     }
     // Barrier-free iteration: the round ended; fill its report.
     WorksetRuntime& rt = *ctx_->workset[node->iteration];
     SuperstepCoordinator* co = rt.coordinator.get();
-    rt.report.ran_async = true;
     rt.report.iterations = static_cast<int>(co->RoundLocalRounds());
     rt.report.converged = !co->capped();
     rt.report.vote_revocations = co->RoundRevocations();
@@ -2603,7 +2494,7 @@ class PlanSchedule {
   const bool session_mode_;
   int resident_node_ = -1;
 
-  /// instances_[task * P + p]; null for microstep-fused loop tasks.
+  /// instances_[task * P + p]; null for loop tasks fused into a chain.
   std::vector<std::unique_ptr<TaskInstance>> instances_;
   std::vector<std::unique_ptr<SchedNode>> nodes_;
   std::vector<int> node_of_task_;
@@ -2654,7 +2545,6 @@ Executor::Executor(ExecutionOptions options) : options_(std::move(options)) {}
 Result<ExecutionResult> Executor::Run(const PhysicalPlan& plan) {
   SFDF_RETURN_NOT_OK(ValidateExecutionOptions(options_));
   SFDF_RETURN_NOT_OK(ValidateSyncMode(plan, options_));
-  SFDF_RETURN_NOT_OK(ValidateRegionMode(plan, options_));
   if (options_.trace) trace::SetEnabled(true);
   const int P =
       options_.parallelism > 0 ? options_.parallelism : DefaultParallelism();
@@ -2850,7 +2740,7 @@ Result<IterationReport> ExecutionSession::RunRound(
   // are absolute marks against the cumulative session metrics.
   rt.report = IterationReport{};
   for (auto& part : rt.parts) part->w0_pending = true;
-  if (rt.barrier_free) {
+  if (rt.coordinator->barrier_free()) {
     // Barrier-free re-arm: fresh termination/vote state and one startup
     // credit per partition (returned when it finishes its first local
     // round of this service round). Leftover queued work from a capped
@@ -2859,9 +2749,6 @@ Result<IterationReport> ExecutionSession::RunRound(
     // local-round report count only this round's work.
     rt.report.ran_async = true;
     rt.coordinator->RearmBarrierFree();
-    for (int p = 0; p < P; ++p) {
-      rt.async_round_base[p] = rt.coordinator->rounds_executed(p);
-    }
   } else {
     rt.round_start_superstep = rt.coordinator->superstep();
     rt.coordinator->Rearm();
@@ -2981,7 +2868,7 @@ Result<IterationReport> ExecutionSession::Reconfigure(int new_partitions,
   trace::EmitSpan(kQuiesce, quiesce_start, new_p);
   WorksetRuntime& rt = s.runtime();
 
-  if (rt.barrier_free && !rt.coordinator->Quiescent()) {
+  if (rt.coordinator->barrier_free() && !rt.coordinator->Quiescent()) {
     // A capped barrier-free round parks with records mid-pipeline: queued
     // batches in in-loop lanes carry intermediate schemas, not reseedable
     // workset records (unlike the superstep path, where the barrier

@@ -7,17 +7,20 @@
 // iterations run it as superstep waves of resumable partition tasks that
 // run-to-superstep-boundary and re-enqueue from an atomic arrival gate
 // (Sections 4.2, 5.3); a one-shot task runs it once, when its producers'
-// streams are complete. Workset iterations that pass the Section 5.2
-// analysis may instead run as an asynchronous fused microstep loop with
-// quiescence-based termination detection, scheduled as cooperative
-// polling tasks on the same pool. No dataflow ever pins an OS
-// thread: a resident session between rounds has nothing queued and costs
-// zero worker time, which is what lets one process serve many concurrent
-// sessions on a pool of any size (see src/service/service_host.h).
+// streams are complete. A workset iteration may instead run barrier-free:
+// one cooperative polling unit per partition runs local rounds over
+// whatever its lanes hold, and the loop ends at quiescence of one credit
+// counter. That unit runs either the partition's stage pipeline
+// (sync_mode async / bounded_stale) or, for an iteration that passes the
+// Section 5.2 analysis, its fused microstep chain, which applies every
+// record's update before the next record is read. No dataflow ever pins
+// an OS thread: a resident session between rounds has nothing queued and
+// costs zero worker time, which is what lets one process serve many
+// concurrent sessions on a pool of any size (see
+// src/service/service_host.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,41 +113,40 @@ struct ExecutionOptions {
   std::string checkpoint_path;
   /// Barrier discipline for workset iterations. kAsync / kBoundedStale
   /// require a plan whose ∪̇ is idempotent-safe (a comparator or immediate
-  /// apply), no bulk iterations, no microstep plans, and no checkpointing
-  /// (checkpoints are superstep-aligned); Run/StartSession reject anything
-  /// else with Unsupported.
+  /// apply), no bulk iterations, no microstep plans (they run barrier-free
+  /// already), and no checkpointing (checkpoints are superstep-aligned);
+  /// Run/StartSession reject anything else with Unsupported.
   SyncMode sync_mode = SyncMode::kSuperstep;
   /// For kBoundedStale: how many local rounds a partition may run ahead of
   /// the slowest peer (k >= 1). Ignored in other modes.
   int staleness_bound = 1;
   /// Scheduling of non-loop regions (see RegionMode). kPipelined streams
-  /// eligible regions over bounded exchanges; Run rejects invalid
-  /// combinations (capacity < 1) with InvalidArgument and StartSession
-  /// rejects kPipelined with Unsupported (a resident session's shutdown
-  /// contract requires downstream regions unscheduled between rounds).
+  /// eligible regions over bounded exchanges; Run rejects a capacity < 1
+  /// with InvalidArgument and StartSession rejects kPipelined with
+  /// Unsupported (a resident session's shutdown contract requires
+  /// downstream regions unscheduled between rounds).
   RegionMode region_mode = RegionMode::kMaterialize;
   /// Flow-control window of each pipelined exchange lane, in envelopes
   /// (batches of up to RecordBatch::kDefaultBatchSize records). Only read
   /// under kPipelined; must be >= 1 then.
   int64_t pipeline_lane_capacity = 8;
-  /// Per-exchange capacity overrides, keyed by the *consumer* task's
-  /// PhysicalTask::name: every pipelined edge into that task gets the
-  /// given capacity instead of pipeline_lane_capacity. Naming a task that
-  /// is not a pipelined-streaming consumer (a loop task, a pipeline
-  /// breaker, or an unknown name) is rejected with InvalidArgument.
-  std::map<std::string, int64_t> pipeline_capacity_overrides;
 };
 
 /// Outcome of one iteration construct.
 struct IterationReport {
+  /// Supersteps, or for a barrier-free iteration (ran_async or
+  /// ran_microsteps) the deepest partition's local rounds. max_iterations
+  /// caps the same count.
   int iterations = 0;
   /// True if the iteration reached its fixpoint / termination criterion
   /// (as opposed to hitting max_iterations).
   bool converged = false;
-  /// True if the iteration executed as asynchronous microsteps.
+  /// True if the iteration executed barrier-free as its fused microstep
+  /// chain (Section 5.2): local rounds that apply each record's update
+  /// before the next record is read.
   bool ran_microsteps = false;
-  /// True if the iteration executed barrier-free (sync_mode != kSuperstep).
-  /// `iterations` then counts the deepest partition's local rounds.
+  /// True if the iteration executed barrier-free over its stage pipeline
+  /// (sync_mode != kSuperstep).
   bool ran_async = false;
   /// Barrier-free observability: how often a partition's quiescence vote
   /// was revoked by an arriving batch, and the largest "rounds ahead of the
@@ -179,8 +181,8 @@ struct ExecutionResult {
   int64_t engine_queue_wait_ns_total = 0;
   int64_t engine_queue_wait_ns_max = 0;
   int engine_workers = 0;
-  /// Parked-task accounting: how often cooperative PollUnits (microstep,
-  /// barrier-free and pipelined units) handed their continuation to an
+  /// Parked-task accounting: how often cooperative PollUnits (barrier-free
+  /// loop and pipelined units) handed their continuation to an
   /// engine park slot instead of busy re-polling, and how many of those
   /// were re-enqueued by a wake. parks == wakes at the end of a clean run.
   int64_t engine_parks = 0;
@@ -195,8 +197,9 @@ struct ExecutionResult {
   int64_t producer_yields = 0;
   int64_t peak_resident_segments = 0;
   /// Barrier-free observability (empty / zero unless a workset iteration
-  /// ran with sync_mode != kSuperstep): per-partition local-round counters
-  /// (concatenated across async iterations), total quiescence-vote
+  /// ran barrier-free: sync_mode != kSuperstep, or microsteps):
+  /// per-partition local-round counters (concatenated across barrier-free
+  /// iterations, microstep ones included), total quiescence-vote
   /// revocations and the maximum observed staleness.
   std::vector<int64_t> async_local_rounds;
   int64_t async_vote_revocations = 0;

@@ -26,14 +26,17 @@
 // Barrier-free mode (ExecutionOptions::sync_mode != kSuperstep, and every
 // microstep iteration): the gate stays idle and the coordinator instead
 // tracks a distributed quiescence protocol — the message-acknowledgement
-// termination detection §5.3 points to, as one credit counter. Every
-// record published into an in-loop exchange (the workset feedback lanes
-// included) takes a credit BEFORE it becomes visible, one fetch_add per
-// published batch; a partition returns the credits of everything it
-// consumed only at the END of its local round or microstep batch, after
-// its own children were published (and credited). pending == 0 therefore
-// means "no record is queued anywhere and no partition is mid-round" —
-// exact quiescence, the workset-is-empty criterion without a barrier.
+// termination detection §5.3 points to, as one credit counter. One unit
+// per partition drives it (the executor's AsyncRoundUnit), whether its
+// local round runs the partition's stage pipeline or a microstep
+// iteration's fused chain. Every record published into an in-loop
+// exchange (the workset feedback lanes included) takes a credit BEFORE it
+// becomes visible, one fetch_add per published batch; a partition returns
+// the credits of everything it consumed only at the END of its local
+// round, after its own children were published (and credited).
+// pending == 0 therefore means "no record is queued anywhere and no
+// partition is mid-round" — exact quiescence, the workset-is-empty
+// criterion without a barrier.
 // Layered on top, for observability and the protocol's narrative: a
 // partition with nothing to do CASTS a quiescent vote before parking; any
 // producer publishing toward it REVOKES the vote first. Votes are advisory
@@ -41,6 +44,7 @@
 // partitions were reactivated.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -128,9 +132,9 @@ class SuperstepCoordinator {
   // --- barrier-free mode (see file header) --------------------------------
 
   /// Switches this coordinator to barrier-free bookkeeping for `partitions`
-  /// loop pipelines (or microstep units). `staleness_bound` > 0 caps how
-  /// many local rounds a partition may run ahead of the slowest peer
-  /// (kBoundedStale); 0 means unbounded (kAsync, microsteps). Seeds one
+  /// loop pipelines (or fused microstep chains). `staleness_bound` > 0
+  /// caps how many local rounds a partition may run ahead of the slowest
+  /// peer (kBoundedStale); 0 means unbounded (kAsync, microsteps). Seeds one
   /// startup credit per partition, released when that partition consumed
   /// its initial-workset phase.
   void EnableBarrierFree(int partitions, int staleness_bound) {
@@ -265,16 +269,17 @@ class SuperstepCoordinator {
     bf_->revocations_base =
         bf_->revocations.load(std::memory_order_relaxed);
   }
-  /// Per-round report deltas (read by the round's last-finishing unit; the
-  /// bases are controller-written under quiescence, ordered by the engine
-  /// submit path).
+  /// Per-round deltas: partition p's local rounds in the current service
+  /// round (its iteration cap counts them), and the deepest partition's
+  /// for the report. The bases are controller-written under quiescence,
+  /// ordered by the engine submit path.
+  int64_t RoundLocalRounds(int p) const {
+    return rounds_executed(p) - bf_->round_base[static_cast<size_t>(p)];
+  }
   int64_t RoundLocalRounds() const {
     int64_t max = 0;
-    for (size_t p = 0; p < bf_->round_base.size(); ++p) {
-      const int64_t d =
-          bf_->rounds_executed[p].load(std::memory_order_relaxed) -
-          bf_->round_base[p];
-      if (d > max) max = d;
+    for (int p = 0; p < bf_->partitions; ++p) {
+      max = std::max(max, RoundLocalRounds(p));
     }
     return max;
   }

@@ -242,7 +242,7 @@ IterationService::SnapshotResult IterationService::Snapshot() const {
 ServiceStats IterationService::stats() const {
   ServiceStats stats;
   {
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(stats_mutex_);
     stats = stats_;
     stats.round_p50_ms = round_latency_.Quantile(0.50);
     stats.round_p95_ms = round_latency_.Quantile(0.95);
@@ -329,6 +329,7 @@ Status IterationService::DoReconfigure(int new_partitions,
     for (int p = 0; p < session_->parallelism(); ++p) {
       session_->solution_partition(p)->set_epoch(epoch);
     }
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.reconfigs;
     stats_.reconfig_ms_last = watch.ElapsedMillis();
     stats_.total_supersteps += report->iterations;
@@ -380,6 +381,7 @@ Status IterationService::ProcessBatch(
     static const uint16_t kCommit =
         trace::RegisterName("service.epoch.commit");
     trace::Instant(kCommit, static_cast<int64_t>(epoch));
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.rounds;
     stats_.mutations_applied += batch.size();
     stats_.total_supersteps += report.iterations;

@@ -219,17 +219,19 @@ class IterationService {
   /// mid-rebuild failure fails the service like a failed round.
   Status Reconfigure(int new_partitions, Engine* new_engine = nullptr);
 
+  /// Counters as of the last committed round or reconfiguration. Never
+  /// waits for a round in flight.
   ServiceStats stats() const;
 
-  /// Reconfigure calls waiting for the admission thread. Unlike stats(),
-  /// this answers while a round is in flight (it takes only the queue lock).
+  /// Reconfigure calls waiting for the admission thread. Like stats(), this
+  /// answers while a round is in flight (it takes only the queue lock).
   uint64_t reconfigs_queued() const;
 
   /// Snapshot of the per-committed-round latency histogram, for registry
   /// exposition (obs/registry.h renders its quantiles). Taken under the
-  /// shared state lock, like the stats() percentiles derived from it.
+  /// stats lock, like the stats() percentiles derived from it.
   LatencyHistogram round_latency_histogram() const {
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(stats_mutex_);
     return round_latency_;
   }
 
@@ -266,7 +268,7 @@ class IterationService {
   /// allowed to touch the session) under the writer lock.
   Status DoReconfigure(int new_partitions, Engine* new_engine);
   /// Engine/scheduling snapshot into stats_; caller holds state_mutex_
-  /// exclusively and runs on the admission thread.
+  /// exclusively and stats_mutex_, and runs on the admission thread.
   void SnapshotEngineStats();
 
   const SeedFn translate_;
@@ -283,9 +285,12 @@ class IterationService {
   /// unique side across translate+round, readers hold the shared side.
   mutable std::shared_mutex state_mutex_;
   std::atomic<uint64_t> epoch_{0};
-  ServiceStats stats_;  // guarded by state_mutex_
-  /// Per-committed-round latency histogram feeding the stats percentiles;
-  /// guarded by state_mutex_ like the counters it accompanies.
+  /// Guards stats_ and round_latency_ alone, so a stats or telemetry read
+  /// never waits for a round in flight. The admission thread writes them
+  /// at commit, nested inside state_mutex_ (never the other way round).
+  mutable std::mutex stats_mutex_;
+  ServiceStats stats_;
+  /// Per-committed-round latency histogram feeding the stats percentiles.
   LatencyHistogram round_latency_;
 
   /// One waiting Reconfigure call. Queued under queue_mutex_; the

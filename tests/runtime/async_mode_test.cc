@@ -154,6 +154,47 @@ TEST(AsyncModeTest, AsyncIterationCapReportsNotConverged) {
   EXPECT_EQ(result->workset_reports[0].iterations, 5);
 }
 
+TEST(AsyncModeTest, MicrostepIterationCapReportsNotConverged) {
+  // The microstep counterpart: a microstep loop runs barrier-free local
+  // rounds, so max_iterations caps them exactly as it caps an async loop's.
+  // The decrement chain needs 1000 microsteps to drain, one per local
+  // round; with a cap of 5 only the cap stops it.
+  std::vector<Record> out;
+  PlanBuilder pb;
+  auto s0 = pb.Source("S0", {Record::OfInts(1, 1000000)});
+  auto w0 = pb.Source("W0", {Record::OfInts(1, 1000)});
+  auto it = pb.BeginWorksetIteration("it", s0, w0, {0},
+                                     OrderByIntFieldDesc(1),
+                                     IterationMode::kMicrostep,
+                                     /*max_iterations=*/5);
+  auto delta = pb.Match("update", it.Workset(), it.SolutionSet(), {0}, {0},
+                        [](const Record& cand, const Record& cur,
+                           Collector* c) {
+                          if (cand.GetInt(1) < cur.GetInt(1)) c->Emit(cand);
+                        });
+  pb.DeclarePreserved(delta, 1, 0, 0);
+  auto next = pb.Map("decrement", delta, [](const Record& rec, Collector* c) {
+    if (rec.GetInt(1) > 0) {
+      c->Emit(Record::OfInts(rec.GetInt(0), rec.GetInt(1) - 1));
+    }
+  });
+  pb.DeclarePreserved(next, 0, 0, 0);
+  pb.Sink("out", it.Close(delta, next), &out);
+  Plan plan = std::move(pb).Finish();
+
+  Optimizer optimizer(OptimizerOptions{.parallelism = 2});
+  auto physical = optimizer.Optimize(plan);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  Executor executor(ExecutionOptions{.parallelism = 2});
+  auto result = executor.Run(*physical);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const IterationReport& report = result->workset_reports[0];
+  EXPECT_TRUE(report.ran_microsteps);
+  EXPECT_FALSE(report.ran_async);
+  EXPECT_FALSE(report.converged);
+  EXPECT_EQ(report.iterations, 5);
+}
+
 // --- mode matrix on a one-worker pool ---------------------------------------
 
 struct PathCc {

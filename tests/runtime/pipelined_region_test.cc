@@ -171,17 +171,6 @@ TEST(PipelinedRegionTest, MaterializeModeReportsNoBackpressure) {
   EXPECT_EQ(result->producer_yields, 0);
 }
 
-TEST(PipelinedRegionTest, CapacityOverridePerConsumer) {
-  std::vector<Record> out;
-  ExecutionOptions options{.parallelism = 2};
-  options.region_mode = RegionMode::kPipelined;
-  options.pipeline_lane_capacity = 1024;  // wide default...
-  options.pipeline_capacity_overrides["tag"] = 1;  // ...one throttled edge
-  auto result = RunWith(BuildChainPlan(20000, &out), options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->backpressure_stalls, 0);
-}
-
 TEST(PipelinedRegionTest, LoopPlanKeepsSuperstepSemantics) {
   // A bulk iteration embedded between streaming tasks: the loop keeps its
   // superstep waves (unbounded loop edges) while the surrounding
@@ -237,26 +226,6 @@ TEST(PipelinedRegionTest, RejectsNonPositiveCapacity) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(PipelinedRegionTest, RejectsUnknownOverrideTarget) {
-  std::vector<Record> out;
-  ExecutionOptions options{.parallelism = 2};
-  options.region_mode = RegionMode::kPipelined;
-  options.pipeline_capacity_overrides["no_such_task"] = 4;
-  auto result = RunWith(BuildChainPlan(100, &out), options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PipelinedRegionTest, RejectsBreakerOverrideTarget) {
-  std::vector<Record> out;
-  ExecutionOptions options{.parallelism = 2};
-  options.region_mode = RegionMode::kPipelined;
-  options.pipeline_capacity_overrides["sum"] = 4;  // Reduce: a breaker
-  auto result = RunWith(BuildBreakerPlan(100, &out), options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(PipelinedRegionTest, SessionRejectsPipelinedMode) {
   // Minimal workset-iteration session plan.
   std::vector<Record> labels = {Record::OfInts(0, 0), Record::OfInts(1, 1)};
@@ -287,15 +256,6 @@ TEST(PipelinedRegionTest, SessionRejectsPipelinedMode) {
   auto session = executor.StartSession(*physical);
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kUnsupported);
-
-  // The overrides must also reject loop-task targets in Run().
-  ExecutionOptions run_options{.parallelism = 2};
-  run_options.region_mode = RegionMode::kPipelined;
-  run_options.pipeline_capacity_overrides["update"] = 4;
-  Executor run_executor(run_options);
-  auto run = run_executor.Run(*physical);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- exchange-level bounded capacity ---------------------------------------

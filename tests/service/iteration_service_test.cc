@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -468,6 +469,24 @@ TEST(GroupCommitTest, ReconfigureQueuedBehindARoundRunsBeforePendingBatches) {
   for (int64_t v = 2; v < 8; ++v) {
     EXPECT_EQ(service.QueryKey(v + 8).record.GetInt(1), v) << "vertex " << v;
   }
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+TEST(GroupCommitTest, StatsAnswerWhileARoundIsInFlight) {
+  // The committed counters have their own lock: a stats (or telemetry)
+  // read answers at once from the last commit instead of waiting for the
+  // round the service thread is running.
+  auto held = HeldRounds::Start(8, ServiceOptions{}, /*hold_first=*/true);
+  IterationService& service = held->service();
+  ASSERT_GT(service.Mutate({GraphMutation::EdgeInsert(0, 1)}), 0u);
+  held->WaitUntilHeld();
+  auto stats = std::async(std::launch::async,
+                          [&service] { return service.stats(); });
+  const bool answered =
+      stats.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  held->Release();
+  EXPECT_TRUE(answered) << "stats() waited for the round in flight";
+  EXPECT_EQ(stats.get().rounds, 0u);  // round 1 had not committed yet
   EXPECT_TRUE(service.Stop().ok());
 }
 
